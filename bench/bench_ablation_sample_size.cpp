@@ -73,7 +73,7 @@ int main() {
   axes.replications = resamples;
   axes.root_seed = 0x5A11;
 
-  const auto result = bench::run_campaign_streamed(
+  const auto result = bench::run_campaign(
       axes, [&](const exp::CellContext& ctx) {
         stats::Rng rng(ctx.seed);
         const auto sub = resample(full_trace, sizes[ctx.scenario], rng);

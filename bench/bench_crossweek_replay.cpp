@@ -229,7 +229,7 @@ int main() {
   clients.warm_up = kWarmUp;
 
   const auto result =
-      bench::run_campaign_streamed(eval_axes, [&](const exp::CellContext& ctx) {
+      bench::run_campaign(eval_axes, [&](const exp::CellContext& ctx) {
         const std::size_t prev = (ctx.scenario + n_weeks - 1) % n_weeks;
         sim::StrategySpec spec;
         switch (ctx.strategy) {

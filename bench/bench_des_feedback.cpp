@@ -45,7 +45,7 @@ int main() {
   spec.replications = 1;       // each cell is already a 24-client average
   spec.root_seed = 20090611;
 
-  const auto result = bench::run_campaign_streamed(spec);
+  const auto result = bench::run_campaign(spec);
   if (!result) return 0;  // shard mode: cells are on disk
 
   report::Table table({"b", "mean J (s)", "mean subs/task", "jobs submitted",

@@ -151,9 +151,9 @@ int main() {
             {"mc", mc.mean_latency}};
   };
 
-  const auto result = bench::run_campaign_streamed(axes, evaluate, options);
+  const auto result = bench::run_campaign(axes, evaluate, options);
   const auto arb =
-      bench::run_campaign_streamed(arb_axes, arb_evaluate, options);
+      bench::run_campaign(arb_axes, arb_evaluate, options);
   if (!result || !arb) return 0;  // shard mode: cells are on disk
 
   report::Table table({"strategy", "params", "E_J model", "E_J mc",

@@ -169,58 +169,6 @@ PointResult run_point(
   return result;
 }
 
-/// Work-item scheduler honoring GRIDSUB_SHARD + GRIDSUB_PROGRESS for a
-/// plain (non-campaign) bench: items are owned round-robin by shard, and
-/// the meter extrapolates ETA from completed owned items.
-class ItemRunner {
- public:
-  ItemRunner() : env_(bench::campaign_env()) {
-    const char* v = std::getenv("GRIDSUB_PROGRESS");
-    meter_ = v != nullptr && v[0] == '1';
-  }
-
-  [[nodiscard]] bool owns(std::size_t index) const {
-    return !env_.shard_mode() || index % env_.shard.count == env_.shard.index;
-  }
-
-  /// Runs `fn` if this shard owns item `index`; returns true if run.
-  bool run(std::size_t index, std::size_t total, const std::string& label,
-           const std::function<void()>& fn) {
-    if (!owns(index)) return false;
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    elapsed_ += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    ++completed_;
-    if (meter_) {
-      std::size_t owned = 0;
-      for (std::size_t i = 0; i < total; ++i) owned += owns(i) ? 1 : 0;
-      const double eta =
-          completed_ > 0
-              ? elapsed_ / static_cast<double>(completed_) *
-                    static_cast<double>(owned - completed_)
-              : 0.0;
-      std::fprintf(stderr,
-                   "[scale_million%s] %zu/%zu done (%s), elapsed %.1fs, "
-                   "eta %.1fs\n",
-                   env_.shard_mode()
-                       ? (" shard " + std::to_string(env_.shard.index) + "/" +
-                          std::to_string(env_.shard.count))
-                             .c_str()
-                       : "",
-                   completed_, owned, label.c_str(), elapsed_, eta);
-    }
-    return true;
-  }
-
- private:
-  bench::CampaignEnv env_;
-  bool meter_ = false;
-  std::size_t completed_ = 0;
-  double elapsed_ = 0.0;
-};
-
 }  // namespace
 
 int main() {
@@ -245,15 +193,33 @@ int main() {
   // wheel A/B pair, equilibrium fractions.
   const std::vector<int> eq_tuned_of_4 = {0, 1, 2, 4};
   const std::size_t n_items = sweep.size() + 2 + eq_tuned_of_4.size();
-  ItemRunner runner;
+  // Items are owned like campaign cells (index % N == i) and report
+  // through the campaign progress meter.
+  const exp::CampaignShard shard = bench::campaign_env().shard;
+  exp::CampaignProgress progress;
+  progress.shard = shard;
+  for (std::size_t i = 0; i < n_items; ++i) {
+    if (shard.owns(i)) ++progress.total;
+  }
+  const auto meter = bench::progress_meter("scale_million");
+  if (meter) meter(progress);
   std::size_t item = 0;
+  // Runs `fn` if this shard owns the next item; returns true if run.
+  const auto run_item = [&](const std::function<void()>& fn) {
+    if (!shard.owns(item++)) return false;
+    fn();
+    ++progress.completed;
+    ++progress.fresh;
+    if (meter) meter(progress);
+    return true;
+  };
 
   // --- 1. scale sweep ---------------------------------------------------
   const traces::Workload stationary =
       traces::make_scenario("stationary-week");
   std::vector<PointResult> sweep_results;
   for (const std::size_t n : sweep) {
-    runner.run(item++, n_items, "sweep n=" + std::to_string(n), [&] {
+    run_item([&] {
       sweep_results.push_back(run_point(n, /*wheel_enabled=*/true, week,
                                         tasks, /*slots_per_client_x1000=*/1000,
                                         mixed_spec, &stationary));
@@ -283,12 +249,12 @@ int main() {
   // --- 2. wheel A/B on the timeout-heavy mix ----------------------------
   PointResult with_wheel;
   PointResult heap_only;
-  bool ran_wheel = runner.run(item++, n_items, "A/B wheel on", [&] {
+  const bool ran_wheel = run_item([&] {
     with_wheel = run_point(ab_clients, true, ab_horizon, /*tasks=*/2,
                            /*slots_per_client_x1000=*/31, timeout_heavy_spec,
                            nullptr);
   });
-  bool ran_heap = runner.run(item++, n_items, "A/B wheel off", [&] {
+  const bool ran_heap = run_item([&] {
     heap_only = run_point(ab_clients, false, ab_horizon, /*tasks=*/2,
                           /*slots_per_client_x1000=*/31, timeout_heavy_spec,
                           nullptr);
@@ -329,35 +295,32 @@ int main() {
   };
   std::vector<EqRow> eq_rows;
   for (const int tuned : eq_tuned_of_4) {
-    runner.run(item++, n_items,
-               "equilibrium " + std::to_string(25 * tuned) + "% tuned", [&] {
-                 const auto spec_for = [tuned](std::size_t i) {
-                   // Interleaved assignment: every block of 4 clients has
-                   // `tuned` tuned members, so groups see the same grid.
-                   if (static_cast<int>(i % 4) < tuned) {
-                     sim::StrategySpec tuned_spec;
-                     tuned_spec.kind =
-                         core::StrategyKind::kMultipleSubmission;
-                     tuned_spec.b = 3;
-                     tuned_spec.t_inf = 900.0;
-                     return tuned_spec;
-                   }
-                   sim::StrategySpec naive;
-                   naive.kind = core::StrategyKind::kSingleResubmission;
-                   naive.t_inf = 1500.0;
-                   return naive;
-                 };
-                 // Scarce capacity (0.15 slots/client vs. the sweep's
-                 // 1.0) and 600 s tasks: a losing copy that got a seat
-                 // burns real slot-time before its sibling's completion
-                 // cancels it, so everyone tuning has a visible cost.
-                 eq_rows.push_back(
-                     {tuned, run_point(eq_clients, true, eq_horizon,
-                                       /*tasks=*/3,
-                                       /*slots_per_client_x1000=*/150,
-                                       spec_for, nullptr,
-                                       /*task_runtime=*/600.0)});
-               });
+    run_item([&] {
+      const auto spec_for = [tuned](std::size_t i) {
+        // Interleaved assignment: every block of 4 clients has `tuned`
+        // tuned members, so groups see the same grid.
+        if (static_cast<int>(i % 4) < tuned) {
+          sim::StrategySpec tuned_spec;
+          tuned_spec.kind = core::StrategyKind::kMultipleSubmission;
+          tuned_spec.b = 3;
+          tuned_spec.t_inf = 900.0;
+          return tuned_spec;
+        }
+        sim::StrategySpec naive;
+        naive.kind = core::StrategyKind::kSingleResubmission;
+        naive.t_inf = 1500.0;
+        return naive;
+      };
+      // Scarce capacity (0.15 slots/client vs. the sweep's 1.0) and
+      // 600 s tasks: a losing copy that got a seat burns real slot-time
+      // before its sibling's completion cancels it, so everyone tuning
+      // has a visible cost.
+      eq_rows.push_back({tuned, run_point(eq_clients, true, eq_horizon,
+                                          /*tasks=*/3,
+                                          /*slots_per_client_x1000=*/150,
+                                          spec_for, nullptr,
+                                          /*task_runtime=*/600.0)});
+    });
   }
   if (!eq_rows.empty()) {
     report::Table table({"tuned share", "tasks done", "mean J (s)",

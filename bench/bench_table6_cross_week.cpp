@@ -80,7 +80,7 @@ int main() {
   transfer_axes.strategy_axis = "params from";
   transfer_axes.scenario_labels = weeks;
   transfer_axes.strategy_labels = weeks;
-  const auto transfer = bench::run_campaign_streamed(
+  const auto transfer = bench::run_campaign(
       transfer_axes, [&](const exp::CellContext& ctx) {
         const core::CostEvaluation& p = opt[ctx.strategy];
         const auto e = cost[ctx.scenario]->evaluate_delayed(p.t0, p.t_inf);

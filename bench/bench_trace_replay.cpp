@@ -94,7 +94,7 @@ int main() {
   shape.print(std::cout);
   std::cout << "\n";
 
-  const auto result = bench::run_campaign_streamed(spec);
+  const auto result = bench::run_campaign(spec);
   if (!result) return 0;  // shard mode: cells are on disk
 
   for (std::size_t s = 0; s < spec.strategies.size(); ++s) {

@@ -167,73 +167,21 @@ inline std::function<void(const exp::CampaignProgress&)> progress_meter(
   };
 }
 
-/// Runs one campaign with the scale-out environment applied. Returns the
-/// full result, or std::nullopt in shard mode (this process evaluated only
-/// its cell partition into the shard checkpoint; merge the shards with
-/// tools/gridsub_campaign_merge). Campaign names must be unique within a
-/// bench — the checkpoint file is keyed on them. Only use this for
-/// *terminal* campaigns whose cells are pure functions of the cell context
-/// (everything the bench consumes is in the metrics); staged campaigns
-/// whose evaluators feed later stages through side channels resume
-/// incorrectly, because restored cells never re-run their side effects.
-inline std::optional<exp::CampaignResult> run_campaign(
-    const exp::CampaignAxes& axes, const exp::CellEvaluator& evaluate,
-    exp::CampaignOptions options = {}) {
-  const CampaignEnv env = campaign_env();
-  if (!env.checkpoint_dir.empty()) {
-    std::filesystem::create_directories(env.checkpoint_dir);
-    options.checkpoint_path = env.checkpoint_path(axes.name);
-    options.shard = env.shard;
-  }
-  options.on_progress =
-      progress_meter(axes.name, std::move(options.on_progress));
-  const exp::CampaignRunner runner(std::move(options));
-  if (env.shard_mode()) {
-    const std::size_t evaluated = runner.run_shard(axes, evaluate);
-    std::cout << "[shard " << env.shard.index << "/" << env.shard.count
-              << "] campaign '" << axes.name << "': evaluated " << evaluated
-              << " cells into " << env.checkpoint_path(axes.name)
-              << " (fold the shards with gridsub_campaign_merge)\n";
-    return std::nullopt;
-  }
-  exp::CampaignResult result = runner.run(axes, evaluate);
-  if (!env.checkpoint_dir.empty()) {
-    // The canonical JSON lands next to the checkpoint so interrupted+
-    // resumed runs can be diffed against straight-through ones — which
-    // only works if a failed write dies loudly here, not at diff time.
-    const std::string json_path =
-        env.checkpoint_dir + "/" + axes.name + ".json";
-    std::ofstream os(json_path, std::ios::binary);
-    if (os) result.write_json(os);
-    if (!os || !os.flush()) {
-      std::fprintf(stderr, "cannot write campaign result '%s'\n",
-                   json_path.c_str());
-      std::exit(1);
-    }
-  }
-  return result;
-}
-
-/// ExperimentSpec convenience overload of run_campaign.
-inline std::optional<exp::CampaignResult> run_campaign(
-    const exp::ExperimentSpec& spec, exp::CampaignOptions options = {}) {
-  spec.validate();
-  return run_campaign(spec.axes(), exp::make_cell_evaluator(spec),
-                      std::move(options));
-}
-
-/// The streaming counterpart of run_campaign: same scale-out environment,
-/// same checkpoint/shard plumbing, same canonical JSON artifacts — but the
-/// result path never materializes the cell list. Cells fold straight into
+/// Runs one campaign with the scale-out environment applied. The result
+/// path never materializes the cell list: cells fold straight into
 /// per-group aggregates (FoldSink), and when a checkpoint directory is set
-/// the canonical D/<campaign>.json is *streamed* to disk as cells complete
-/// (JsonStreamSink) instead of being buffered and dumped, so peak memory
-/// is O(reorder window + groups) at any campaign size. Returns the fold
-/// summary, or std::nullopt in shard mode (cells land in the shard
-/// checkpoint; fold them with gridsub_campaign_merge). Same purity caveat
-/// as run_campaign: everything downstream consumes must travel in the
-/// metrics.
-inline std::optional<exp::CampaignSummary> run_campaign_streamed(
+/// the canonical D/<campaign>.json is streamed to disk as cells complete
+/// (JsonStreamSink), so peak memory is O(reorder window + groups) at any
+/// campaign size. Returns the fold summary, or std::nullopt in shard mode
+/// (this process evaluated only its cell partition into the shard
+/// checkpoint; fold the shards with tools/gridsub_campaign_merge).
+/// Campaign names must be unique within a bench — the checkpoint file is
+/// keyed on them. Only use this for *terminal* campaigns whose cells are
+/// pure functions of the cell context (everything the bench consumes is in
+/// the metrics); staged campaigns whose evaluators feed later stages
+/// through side channels resume incorrectly, because restored cells never
+/// re-run their side effects.
+inline std::optional<exp::CampaignSummary> run_campaign(
     const exp::CampaignAxes& axes, const exp::CellEvaluator& evaluate,
     exp::CampaignOptions options = {}) {
   const CampaignEnv env = campaign_env();
@@ -284,12 +232,12 @@ inline std::optional<exp::CampaignSummary> run_campaign_streamed(
   return sink.take();
 }
 
-/// ExperimentSpec convenience overload of run_campaign_streamed.
-inline std::optional<exp::CampaignSummary> run_campaign_streamed(
+/// ExperimentSpec convenience overload of run_campaign.
+inline std::optional<exp::CampaignSummary> run_campaign(
     const exp::ExperimentSpec& spec, exp::CampaignOptions options = {}) {
   spec.validate();
-  return run_campaign_streamed(spec.axes(), exp::make_cell_evaluator(spec),
-                               std::move(options));
+  return run_campaign(spec.axes(), exp::make_cell_evaluator(spec),
+                      std::move(options));
 }
 
 /// Runs a *stage* campaign (a fit/tune pass whose outputs parameterize

@@ -7,8 +7,9 @@ is easy to break with one innocuous line — iterating an unordered
 container into a fold, formatting a double through the locale-sensitive
 iostream path, seeding from the wall clock.  This linter scans the
 modules whose output reaches users (src/exp, src/report, src/stats,
-src/traces, tools) plus the simulation core the trajectories flow
-through (src/sim, src/online) for the known failure patterns.
+src/traces, tools, and src/core with its JSON serializers) plus the
+simulation core the trajectories flow through (src/sim, src/online) for
+the known failure patterns.
 
 Rules (name — what it flags):
 
@@ -34,8 +35,8 @@ Rules (name — what it flags):
                        .precision(...)).  Stream formatting is
                        locale-sensitive and defaults to 6 significant
                        digits; serialize doubles with the to_chars
-                       helpers (exp::detail::json_number,
-                       traces::detail::csv_number) instead.
+                       helpers of src/core/json.hpp (core::json::number,
+                       core::json::shortest_double) instead.
   printf-float         %f / %e / %g / %a conversions in format strings.
                        printf floats follow the C locale setting
                        (decimal point!) and a fixed precision.
@@ -133,8 +134,9 @@ UNORDERED_DECL_RE = re.compile(
     r".*?>\s*(?:&\s*)?(\w+)\s*(?:[;={(,)]|$)")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(\s*[^;)]*?:\s*([^)]+)\)")
 
-DEFAULT_DIRS = ("src/exp", "src/fault", "src/online", "src/report",
-                "src/serve", "src/sim", "src/stats", "src/traces", "tools")
+DEFAULT_DIRS = ("src/core", "src/exp", "src/fault", "src/online",
+                "src/report", "src/serve", "src/sim", "src/stats",
+                "src/traces", "tools")
 EXTENSIONS = (".cpp", ".hpp", ".h", ".cc")
 
 

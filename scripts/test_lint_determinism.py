@@ -125,6 +125,11 @@ class RealTree(unittest.TestCase):
         for module in ("src/sim", "src/online", "src/serve", "src/fault"):
             self.assertIn(module, lint_determinism.DEFAULT_DIRS)
 
+    def test_json_module_is_covered(self):
+        # src/core/json.hpp holds the one double serializer behind every
+        # JSON and CSV writer; the stream-float rule exists to protect it.
+        self.assertIn("src/core", lint_determinism.DEFAULT_DIRS)
+
     def test_list_rules_matches_table(self):
         code, out = run_lint("--list-rules")
         self.assertEqual(code, 0)

@@ -77,54 +77,103 @@ void CampaignAxes::validate() const {
   }
 }
 
-CampaignResult::CampaignResult(CampaignAxes axes,
+const AggregateRow::Metric& find_metric(const AggregateRow& row,
+                                        const std::string& name) {
+  for (const auto& m : row.metrics) {
+    if (m.name == name) return m;
+  }
+  throw std::out_of_range("CampaignResult: unknown metric '" + name + "'");
+}
+
+const AggregateRow& CampaignSummary::aggregate(std::size_t scenario,
+                                               std::size_t strategy) const {
+  // Check each axis, not just the flattened index: an off-by-one on the
+  // strategy axis must throw, not alias the next scenario's group.
+  if (scenario >= axes.scenario_labels.size() ||
+      strategy >= axes.strategy_labels.size()) {
+    throw std::out_of_range("CampaignSummary::aggregate: bad cell group");
+  }
+  return rows[scenario * axes.strategy_labels.size() + strategy];
+}
+
+double CampaignSummary::mean(std::size_t scenario, std::size_t strategy,
+                             const std::string& metric) const {
+  return find_metric(aggregate(scenario, strategy), metric).mean;
+}
+
+double CampaignSummary::sem(std::size_t scenario, std::size_t strategy,
+                            const std::string& metric) const {
+  return find_metric(aggregate(scenario, strategy), metric).sem;
+}
+
+double CampaignSummary::min(std::size_t scenario, std::size_t strategy,
+                            const std::string& metric) const {
+  return find_metric(aggregate(scenario, strategy), metric).min;
+}
+
+double CampaignSummary::max(std::size_t scenario, std::size_t strategy,
+                            const std::string& metric) const {
+  return find_metric(aggregate(scenario, strategy), metric).max;
+}
+
+report::Table CampaignSummary::summary_table(
+    const std::vector<std::string>& metrics) const {
+  std::vector<std::string> names = metrics;
+  if (names.empty() && !rows.empty()) {
+    for (const auto& m : rows.front().metrics) names.push_back(m.name);
+  }
+  std::vector<std::string> headers = {axes.scenario_axis,
+                                      axes.strategy_axis};
+  for (const auto& n : names) headers.push_back(n);
+  report::Table table(std::move(headers));
+  for (const auto& row : rows) {
+    auto& r = table.row()
+                  .cell(axes.scenario_labels[row.scenario])
+                  .cell(axes.strategy_labels[row.strategy]);
+    for (const auto& n : names) r.cell(find_metric(row, n).mean, 3);
+  }
+  return table;
+}
+
+report::Series CampaignSummary::metric_series(
+    std::size_t strategy, const std::string& metric) const {
+  if (strategy >= axes.strategy_labels.size()) {
+    throw std::out_of_range("CampaignSummary::metric_series: bad strategy");
+  }
+  report::Series series;
+  series.label = axes.strategy_labels[strategy] + " " + metric;
+  series.x.reserve(axes.scenario_labels.size());
+  series.y.reserve(axes.scenario_labels.size());
+  for (std::size_t s = 0; s < axes.scenario_labels.size(); ++s) {
+    series.x.push_back(static_cast<double>(s));
+    series.y.push_back(mean(s, strategy, metric));
+  }
+  return series;
+}
+
+CampaignResult::CampaignResult(CampaignAxes campaign_axes,
                                std::vector<CellResult> cells)
-    : axes_(std::move(axes)), cells_(std::move(cells)) {
+    : CampaignSummary{std::move(campaign_axes), {}},
+      cells_(std::move(cells)) {
   // Aggregate through the same streaming folds the sinks use, in flat
   // order: replications of one (scenario, strategy) group are contiguous,
   // so each group folds in a fixed order regardless of the execution
   // schedule — and the buffered and streamed paths stay byte-identical
   // by construction.
-  const std::size_t reps = std::max<std::size_t>(1, axes_.replications);
+  const std::size_t reps = std::max<std::size_t>(1, axes.replications);
   const std::size_t whole = (cells_.size() / reps) * reps;
-  AggregateFold fold(axes_);
+  AggregateFold fold(axes);
   for (std::size_t flat = 0; flat < whole; ++flat) fold.add(cells_[flat]);
-  aggregates_ = fold.take_rows();
-}
-
-const AggregateRow& CampaignResult::aggregate(std::size_t scenario,
-                                              std::size_t strategy) const {
-  // Check each axis, not just the flattened index: an off-by-one on the
-  // strategy axis must throw, not alias the next scenario's group.
-  if (scenario >= axes_.scenario_labels.size() ||
-      strategy >= axes_.strategy_labels.size()) {
-    throw std::out_of_range("CampaignResult::aggregate: bad cell group");
-  }
-  return aggregates_[scenario * axes_.strategy_labels.size() + strategy];
-}
-
-double CampaignResult::mean(std::size_t scenario, std::size_t strategy,
-                            const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).mean;
-}
-
-double CampaignResult::sem(std::size_t scenario, std::size_t strategy,
-                           const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).sem;
-}
-
-report::Table CampaignResult::summary_table(
-    const std::vector<std::string>& metrics) const {
-  return exp::summary_table(axes_, aggregates_, metrics);
+  rows = fold.take_rows();
 }
 
 void CampaignResult::write_json(std::ostream& os) const {
-  detail::write_campaign_json_prefix(os, axes_);
+  detail::write_campaign_json_prefix(os, axes);
   for (std::size_t i = 0; i < cells_.size(); ++i) {
-    detail::write_campaign_json_cell(os, axes_, cells_[i],
+    detail::write_campaign_json_cell(os, axes, cells_[i],
                                      i + 1 == cells_.size());
   }
-  detail::write_campaign_json_aggregates(os, axes_, aggregates_);
+  detail::write_campaign_json_aggregates(os, axes, rows);
 }
 
 std::string CampaignResult::to_json() const {

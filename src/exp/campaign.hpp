@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
+#include "report/series.hpp"
 #include "report/table.hpp"
 
 namespace gridsub::exp {
@@ -129,29 +130,30 @@ struct AggregateRow {
 /// Consumer of campaign cells in ascending flat order (exp/fold.hpp).
 class CampaignSink;
 
-/// Collected campaign output: per-cell metrics in flat order plus
-/// per-group aggregates, renderable as a table or deterministic JSON.
-class CampaignResult {
- public:
-  CampaignResult(CampaignAxes axes, std::vector<CellResult> cells);
+/// The aggregated metric of one row; throws std::out_of_range for unknown
+/// names.
+[[nodiscard]] const AggregateRow::Metric& find_metric(
+    const AggregateRow& row, const std::string& name);
 
-  [[nodiscard]] const CampaignAxes& axes() const { return axes_; }
-  [[nodiscard]] const std::vector<CellResult>& cells() const {
-    return cells_;
-  }
-  [[nodiscard]] const std::vector<AggregateRow>& aggregates() const {
-    return aggregates_;
-  }
+/// A campaign reduced to its per-group aggregates: what the streaming
+/// sinks (exp/fold.hpp) retain, in O(groups) memory.
+struct CampaignSummary {
+  CampaignAxes axes;
+  std::vector<AggregateRow> rows;  ///< ascending (scenario, strategy)
 
   /// The aggregate of one (scenario, strategy) group.
   [[nodiscard]] const AggregateRow& aggregate(std::size_t scenario,
                                               std::size_t strategy) const;
-
   /// Aggregated mean / stderr of a named metric; throws std::out_of_range
   /// for unknown names.
   [[nodiscard]] double mean(std::size_t scenario, std::size_t strategy,
                             const std::string& metric) const;
   [[nodiscard]] double sem(std::size_t scenario, std::size_t strategy,
+                           const std::string& metric) const;
+  /// Group extrema across replications (min/max of the per-cell values).
+  [[nodiscard]] double min(std::size_t scenario, std::size_t strategy,
+                           const std::string& metric) const;
+  [[nodiscard]] double max(std::size_t scenario, std::size_t strategy,
                            const std::string& metric) const;
 
   /// One row per (scenario, strategy) group with mean columns for the
@@ -159,15 +161,30 @@ class CampaignResult {
   [[nodiscard]] report::Table summary_table(
       const std::vector<std::string>& metrics = {}) const;
 
+  /// Mean of `metric` against the scenario index for one strategy — the
+  /// figure-friendly view of a summary.
+  [[nodiscard]] report::Series metric_series(std::size_t strategy,
+                                             const std::string& metric) const;
+};
+
+/// Collected campaign output: the summary plus every cell's metrics in
+/// flat order, renderable as deterministic JSON.
+class CampaignResult : public CampaignSummary {
+ public:
+  /// Folds `cells` (flat order) into the summary rows.
+  CampaignResult(CampaignAxes campaign_axes, std::vector<CellResult> cells);
+
+  [[nodiscard]] const std::vector<CellResult>& cells() const {
+    return cells_;
+  }
+
   /// Deterministic JSON: stable key order, shortest round-trip doubles.
   /// Identical campaigns produce byte-identical output at any thread count.
   void write_json(std::ostream& os) const;
   [[nodiscard]] std::string to_json() const;
 
  private:
-  CampaignAxes axes_;
   std::vector<CellResult> cells_;
-  std::vector<AggregateRow> aggregates_;
 };
 
 /// Monotone progress snapshot delivered to CampaignOptions::on_progress.

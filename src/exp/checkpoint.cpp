@@ -4,23 +4,22 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
-#include "exp/json_parse.hpp"
-#include "exp/json_util.hpp"
+#include "core/json.hpp"
 
 namespace gridsub::exp {
 
 namespace {
 
-using detail::get_key;
-using detail::get_string;
-using detail::get_string_array;
-using detail::get_uint;
-using detail::JsonParser;
-using detail::JsonValue;
+namespace json = core::json;
+using json::get_key;
+using json::get_string;
+using json::get_string_array;
+using json::get_uint;
 
 constexpr std::string_view kSchema = "gridsub-checkpoint-v1";
 
@@ -49,10 +48,10 @@ bool same_cell_metrics(const CellMetrics& a, const CellMetrics& b) {
 }
 
 CheckpointHeader parse_checkpoint_header(const std::string& line,
-                                         const std::string& origin) {
+                                         const std::string& origin) try {
   const std::string where = origin + " header";
-  const JsonValue v = JsonParser(line, where).parse();
-  if (v.kind != JsonValue::Kind::kObject) {
+  const json::Value v = json::parse(line, where);
+  if (v.kind != json::Value::Kind::kObject) {
     throw CheckpointError(origin + ": header is not an object");
   }
   if (get_string(v, "schema", where) != kSchema) {
@@ -80,13 +79,15 @@ CheckpointHeader parse_checkpoint_header(const std::string& line,
     throw CheckpointError(where + ": " + e.what());
   }
   return out;
+} catch (const json::Error& e) {
+  throw CheckpointError(e.what());
 }
 
 CellResult parse_checkpoint_record(const std::string& line,
                                    const std::string& origin,
-                                   const CampaignAxes& axes) {
-  const JsonValue v = JsonParser(line, origin).parse();
-  if (v.kind != JsonValue::Kind::kObject) {
+                                   const CampaignAxes& axes) try {
+  const json::Value v = json::parse(line, origin);
+  if (v.kind != json::Value::Kind::kObject) {
     throw CheckpointError(origin + ": record is not an object");
   }
   const std::uint64_t flat = get_uint(v, "cell", origin);
@@ -105,20 +106,36 @@ CellResult parse_checkpoint_record(const std::string& line,
                           std::to_string(flat) +
                           " (checkpoint does not match this campaign)");
   }
-  const JsonValue& metrics = get_key(v, "metrics", origin);
-  if (metrics.kind != JsonValue::Kind::kObject) {
+  const json::Value& metrics = get_key(v, "metrics", origin);
+  if (metrics.kind != json::Value::Kind::kObject) {
     throw CheckpointError(origin + ": \"metrics\" is not an object");
   }
   cell.metrics.reserve(metrics.object.size());
   for (const auto& [name, value] : metrics.object) {
-    if (value.kind != JsonValue::Kind::kNumber &&
-        value.kind != JsonValue::Kind::kNull) {
+    if (value.kind != json::Value::Kind::kNumber &&
+        value.kind != json::Value::Kind::kNull) {
       throw CheckpointError(origin + ": metric \"" + name +
                             "\" is not a number");
     }
     cell.metrics.emplace_back(name, value.number);
   }
   return cell;
+} catch (const json::Error& e) {
+  throw CheckpointError(e.what());
+}
+
+std::optional<CellResult> parse_checkpoint_tail(const std::string& line,
+                                                const std::string& origin,
+                                                const CampaignAxes& axes) {
+  // Only a line that is not whole JSON is the kill artifact. A whole
+  // object lost just its newline: its data is complete, so it is checked
+  // like any other record (a wrong seed there is corruption).
+  try {
+    (void)json::parse(line, origin);
+  } catch (const json::Error&) {
+    return std::nullopt;
+  }
+  return parse_checkpoint_record(line, origin, axes);
 }
 
 void write_checkpoint_header(std::ostream& os, const CampaignAxes& axes,
@@ -126,20 +143,20 @@ void write_checkpoint_header(std::ostream& os, const CampaignAxes& axes,
   axes.validate();
   shard.validate();
   os << "{\"schema\": \"" << kSchema << "\", \"name\": ";
-  detail::json_escape(os, axes.name);
+  json::escape(os, axes.name);
   os << ", \"scenario_axis\": ";
-  detail::json_escape(os, axes.scenario_axis);
+  json::escape(os, axes.scenario_axis);
   os << ", \"strategy_axis\": ";
-  detail::json_escape(os, axes.strategy_axis);
+  json::escape(os, axes.strategy_axis);
   os << ", \"scenarios\": [";
   for (std::size_t i = 0; i < axes.scenario_labels.size(); ++i) {
     if (i > 0) os << ", ";
-    detail::json_escape(os, axes.scenario_labels[i]);
+    json::escape(os, axes.scenario_labels[i]);
   }
   os << "], \"strategies\": [";
   for (std::size_t i = 0; i < axes.strategy_labels.size(); ++i) {
     if (i > 0) os << ", ";
-    detail::json_escape(os, axes.strategy_labels[i]);
+    json::escape(os, axes.strategy_labels[i]);
   }
   os << "], \"replications\": " << axes.replications
      << ", \"root_seed\": " << axes.root_seed
@@ -152,9 +169,9 @@ void append_checkpoint_cell(std::ostream& os, const CellResult& cell) {
      << ", \"seed\": " << cell.context.seed << ", \"metrics\": {";
   for (std::size_t m = 0; m < cell.metrics.size(); ++m) {
     if (m > 0) os << ", ";
-    detail::json_escape(os, cell.metrics[m].first);
+    json::escape(os, cell.metrics[m].first);
     os << ": ";
-    detail::json_number(os, cell.metrics[m].second);
+    json::number(os, cell.metrics[m].second);
   }
   os << "}}\n";
 }
@@ -260,9 +277,7 @@ CampaignCheckpoint parse_checkpoint(std::string_view content,
 
   std::vector<CellResult> by_flat(out.axes.cell_count());
   std::vector<bool> have(out.axes.cell_count(), false);
-  const auto add_record = [&](const std::string& line, std::size_t lineno) {
-    const std::string where = origin + ":" + std::to_string(lineno);
-    CellResult cell = parse_checkpoint_record(line, where, out.axes);
+  const auto add_record = [&](CellResult cell, const std::string& where) {
     const std::size_t flat = cell.context.flat;
     if (have[flat]) {
       if (!same_cell_metrics(by_flat[flat].metrics, cell.metrics)) {
@@ -276,26 +291,21 @@ CampaignCheckpoint parse_checkpoint(std::string_view content,
   };
   for (std::size_t i = 1; i < lines.size(); ++i) {
     if (lines[i].empty()) continue;
-    add_record(lines[i], i + 1);
+    const std::string where = origin + ":" + std::to_string(i + 1);
+    add_record(parse_checkpoint_record(lines[i], where, out.axes), where);
   }
   out.valid_bytes = content.size();
   if (!tail.empty()) {
-    // A partial final line is the expected kill artifact: drop it and let
-    // the cell rerun. If it parses as a complete JSON object only the
-    // terminating newline was lost, so the data is whole — keep it (and
-    // still semantically validate it like any other record; a wrong seed
-    // in complete JSON is corruption, not a truncated write).
-    bool whole = true;
-    try {
-      (void)JsonParser(tail, origin + " tail").parse();
-    } catch (const CheckpointError&) {
-      whole = false;
+    const std::string where =
+        origin + ":" + std::to_string(lines.size() + 1);
+    if (std::optional<CellResult> cell =
+            parse_checkpoint_tail(tail, where, out.axes)) {
+      add_record(std::move(*cell), where);
+      out.missing_final_newline = true;
+    } else {
+      // The cell reruns on resume.
       out.dropped_partial_tail = true;
       out.valid_bytes = content.size() - tail.size();
-    }
-    if (whole) {
-      add_record(tail, lines.size() + 1);
-      out.missing_final_newline = true;
     }
   }
   for (std::size_t flat = 0; flat < have.size(); ++flat) {

@@ -31,6 +31,7 @@
 #include <fstream>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -98,6 +99,16 @@ struct CheckpointHeader {
 [[nodiscard]] CellResult parse_checkpoint_record(const std::string& line,
                                                  const std::string& origin,
                                                  const CampaignAxes& axes);
+
+/// Parses the unterminated final line of a checkpoint — the one place
+/// the crash model's tail rule lives, shared by every reader. A line that
+/// is not whole JSON is the kill artifact: returns nullopt, and the caller
+/// drops it. Whole JSON only lost its newline, so it is validated like any
+/// record and returned; a wrong seed or an out-of-range cell there throws
+/// CheckpointError.
+[[nodiscard]] std::optional<CellResult> parse_checkpoint_tail(
+    const std::string& line, const std::string& origin,
+    const CampaignAxes& axes);
 
 /// Bit-exact metric equality (names, order, and double bit patterns —
 /// NaN-safe, unlike operator==): the test duplicate records must pass.

@@ -5,12 +5,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "exp/json_util.hpp"
+#include "core/json.hpp"
 
 namespace gridsub::exp {
 
-using detail::json_escape;
-using detail::json_number;
+namespace json = core::json;
 
 // ---------------------------------------------------------------------------
 // MomentFold
@@ -111,90 +110,6 @@ const AggregateRow* AggregateFold::add(const CellResult& cell) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared accessors and renderers
-// ---------------------------------------------------------------------------
-
-const AggregateRow::Metric& find_metric(const AggregateRow& row,
-                                        const std::string& name) {
-  for (const auto& m : row.metrics) {
-    if (m.name == name) return m;
-  }
-  throw std::out_of_range("CampaignResult: unknown metric '" + name + "'");
-}
-
-report::Table summary_table(const CampaignAxes& axes,
-                            const std::vector<AggregateRow>& rows,
-                            const std::vector<std::string>& metrics) {
-  std::vector<std::string> names = metrics;
-  if (names.empty() && !rows.empty()) {
-    for (const auto& m : rows.front().metrics) names.push_back(m.name);
-  }
-  std::vector<std::string> headers = {axes.scenario_axis,
-                                      axes.strategy_axis};
-  for (const auto& n : names) headers.push_back(n);
-  report::Table table(std::move(headers));
-  for (const auto& row : rows) {
-    auto& r = table.row()
-                  .cell(axes.scenario_labels[row.scenario])
-                  .cell(axes.strategy_labels[row.strategy]);
-    for (const auto& n : names) r.cell(find_metric(row, n).mean, 3);
-  }
-  return table;
-}
-
-const AggregateRow& CampaignSummary::aggregate(std::size_t scenario,
-                                               std::size_t strategy) const {
-  // Check each axis, not just the flattened index: an off-by-one on the
-  // strategy axis must throw, not alias the next scenario's group.
-  if (scenario >= axes.scenario_labels.size() ||
-      strategy >= axes.strategy_labels.size()) {
-    throw std::out_of_range("CampaignSummary::aggregate: bad cell group");
-  }
-  return rows[scenario * axes.strategy_labels.size() + strategy];
-}
-
-double CampaignSummary::mean(std::size_t scenario, std::size_t strategy,
-                             const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).mean;
-}
-
-double CampaignSummary::sem(std::size_t scenario, std::size_t strategy,
-                            const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).sem;
-}
-
-double CampaignSummary::min(std::size_t scenario, std::size_t strategy,
-                            const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).min;
-}
-
-double CampaignSummary::max(std::size_t scenario, std::size_t strategy,
-                            const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).max;
-}
-
-report::Table CampaignSummary::summary_table(
-    const std::vector<std::string>& metrics) const {
-  return exp::summary_table(axes, rows, metrics);
-}
-
-report::Series CampaignSummary::metric_series(
-    std::size_t strategy, const std::string& metric) const {
-  if (strategy >= axes.strategy_labels.size()) {
-    throw std::out_of_range("CampaignSummary::metric_series: bad strategy");
-  }
-  report::Series series;
-  series.label = axes.strategy_labels[strategy] + " " + metric;
-  series.x.reserve(axes.scenario_labels.size());
-  series.y.reserve(axes.scenario_labels.size());
-  for (std::size_t s = 0; s < axes.scenario_labels.size(); ++s) {
-    series.x.push_back(static_cast<double>(s));
-    series.y.push_back(mean(s, strategy, metric));
-  }
-  return series;
-}
-
-// ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
 
@@ -270,21 +185,21 @@ namespace detail {
 
 void write_campaign_json_prefix(std::ostream& os, const CampaignAxes& axes) {
   os << "{\n  \"schema\": \"gridsub-campaign-v1\",\n  \"name\": ";
-  json_escape(os, axes.name);
+  json::escape(os, axes.name);
   os << ",\n  \"root_seed\": " << axes.root_seed;
   os << ",\n  \"axes\": {";
-  json_escape(os, axes.scenario_axis);
+  json::escape(os, axes.scenario_axis);
   os << ": [";
   for (std::size_t i = 0; i < axes.scenario_labels.size(); ++i) {
     if (i > 0) os << ", ";
-    json_escape(os, axes.scenario_labels[i]);
+    json::escape(os, axes.scenario_labels[i]);
   }
   os << "], ";
-  json_escape(os, axes.strategy_axis);
+  json::escape(os, axes.strategy_axis);
   os << ": [";
   for (std::size_t i = 0; i < axes.strategy_labels.size(); ++i) {
     if (i > 0) os << ", ";
-    json_escape(os, axes.strategy_labels[i]);
+    json::escape(os, axes.strategy_labels[i]);
   }
   os << "], \"replications\": " << axes.replications << "},\n";
   os << "  \"cells\": [\n";
@@ -293,16 +208,16 @@ void write_campaign_json_prefix(std::ostream& os, const CampaignAxes& axes) {
 void write_campaign_json_cell(std::ostream& os, const CampaignAxes& axes,
                               const CellResult& cell, bool last) {
   os << "    {\"scenario\": ";
-  json_escape(os, axes.scenario_labels[cell.context.scenario]);
+  json::escape(os, axes.scenario_labels[cell.context.scenario]);
   os << ", \"strategy\": ";
-  json_escape(os, axes.strategy_labels[cell.context.strategy]);
+  json::escape(os, axes.strategy_labels[cell.context.strategy]);
   os << ", \"replication\": " << cell.context.replication;
   os << ", \"seed\": " << cell.context.seed << ", \"metrics\": {";
   for (std::size_t m = 0; m < cell.metrics.size(); ++m) {
     if (m > 0) os << ", ";
-    json_escape(os, cell.metrics[m].first);
+    json::escape(os, cell.metrics[m].first);
     os << ": ";
-    json_number(os, cell.metrics[m].second);
+    json::number(os, cell.metrics[m].second);
   }
   os << "}}" << (last ? "" : ",") << "\n";
 }
@@ -314,17 +229,17 @@ void write_campaign_json_aggregates(std::ostream& os,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const AggregateRow& row = rows[i];
     os << "    {\"scenario\": ";
-    json_escape(os, axes.scenario_labels[row.scenario]);
+    json::escape(os, axes.scenario_labels[row.scenario]);
     os << ", \"strategy\": ";
-    json_escape(os, axes.strategy_labels[row.strategy]);
+    json::escape(os, axes.strategy_labels[row.strategy]);
     os << ", \"replications\": " << row.replications << ", \"metrics\": {";
     for (std::size_t m = 0; m < row.metrics.size(); ++m) {
       if (m > 0) os << ", ";
-      json_escape(os, row.metrics[m].name);
+      json::escape(os, row.metrics[m].name);
       os << ": {\"mean\": ";
-      json_number(os, row.metrics[m].mean);
+      json::number(os, row.metrics[m].mean);
       os << ", \"stderr\": ";
-      json_number(os, row.metrics[m].sem);
+      json::number(os, row.metrics[m].sem);
       os << "}";
     }
     os << "}}" << (i + 1 < rows.size() ? "," : "") << "\n";

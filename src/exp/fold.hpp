@@ -36,8 +36,6 @@
 #include <vector>
 
 #include "exp/campaign.hpp"
-#include "report/series.hpp"
-#include "report/table.hpp"
 
 namespace gridsub::exp {
 
@@ -98,48 +96,6 @@ class AggregateFold {
   std::vector<std::string> names_;     ///< metric names of the open group
   std::vector<MomentFold> open_;       ///< one fold per metric
   std::vector<AggregateRow> rows_;
-};
-
-/// The aggregated metric of one row; throws std::out_of_range for unknown
-/// names (shared by CampaignResult and CampaignSummary accessors).
-[[nodiscard]] const AggregateRow::Metric& find_metric(
-    const AggregateRow& row, const std::string& name);
-
-/// One row per (scenario, strategy) group with mean columns for the
-/// requested metrics (all metrics when the list is empty) — the shared
-/// renderer behind CampaignResult::summary_table and
-/// CampaignSummary::summary_table.
-[[nodiscard]] report::Table summary_table(
-    const CampaignAxes& axes, const std::vector<AggregateRow>& rows,
-    const std::vector<std::string>& metrics = {});
-
-/// A campaign reduced to its per-group aggregates: what FoldSink and
-/// JsonStreamSink retain. O(groups) memory, same accessor surface as
-/// CampaignResult minus cells().
-struct CampaignSummary {
-  CampaignAxes axes;
-  std::vector<AggregateRow> rows;  ///< ascending (scenario, strategy)
-
-  /// The aggregate of one (scenario, strategy) group.
-  [[nodiscard]] const AggregateRow& aggregate(std::size_t scenario,
-                                              std::size_t strategy) const;
-  [[nodiscard]] double mean(std::size_t scenario, std::size_t strategy,
-                            const std::string& metric) const;
-  [[nodiscard]] double sem(std::size_t scenario, std::size_t strategy,
-                           const std::string& metric) const;
-  /// Group extrema across replications (min/max of the per-cell values).
-  [[nodiscard]] double min(std::size_t scenario, std::size_t strategy,
-                           const std::string& metric) const;
-  [[nodiscard]] double max(std::size_t scenario, std::size_t strategy,
-                           const std::string& metric) const;
-
-  [[nodiscard]] report::Table summary_table(
-      const std::vector<std::string>& metrics = {}) const;
-
-  /// Mean of `metric` against the scenario index for one strategy — the
-  /// figure-friendly view of a fold summary.
-  [[nodiscard]] report::Series metric_series(std::size_t strategy,
-                                             const std::string& metric) const;
 };
 
 /// Consumer of a campaign's cells, driven by CampaignRunner. The runner

@@ -9,13 +9,14 @@
 #include <sstream>
 #include <utility>
 
+#include "core/json.hpp"
 #include "exp/checkpoint.hpp"
-#include "exp/json_parse.hpp"
-#include "exp/json_util.hpp"
 
 namespace gridsub::exp {
 
 namespace {
+
+namespace json = core::json;
 
 constexpr std::string_view kStageSchema = "gridsub-stage-v1";
 
@@ -31,9 +32,9 @@ void log_line(const StageOptions& options, const std::string& message) {
 void write_stage_header(std::ostream& os, const std::string& name,
                         const std::string& identity) {
   os << "{\"schema\": \"" << kStageSchema << "\", \"stage\": ";
-  detail::json_escape(os, name);
+  json::escape(os, name);
   os << ", \"identity\": ";
-  detail::json_escape(os, identity);
+  json::escape(os, identity);
   os << "}\n";
 }
 
@@ -45,7 +46,7 @@ void write_stage_header(std::ostream& os, const std::string& name,
 std::optional<CampaignResult> load_stage(const std::string& path,
                                          const CampaignAxes& axes,
                                          const std::string& identity,
-                                         const StageOptions& options) {
+                                         const StageOptions& options) try {
   std::ifstream is(path, std::ios::binary);
   if (!is) return std::nullopt;
   std::string content((std::istreambuf_iterator<char>(is)),
@@ -56,21 +57,20 @@ std::optional<CampaignResult> load_stage(const std::string& path,
   }
   const std::string header_line = content.substr(0, nl);
   const std::string where = path + " stage header";
-  const detail::JsonValue v =
-      detail::JsonParser(header_line, where).parse();
-  if (v.kind != detail::JsonValue::Kind::kObject) {
+  const json::Value v = json::parse(header_line, where);
+  if (v.kind != json::Value::Kind::kObject) {
     throw CheckpointError(where + ": not an object");
   }
-  if (detail::get_string(v, "schema", where) != kStageSchema) {
+  if (json::get_string(v, "schema", where) != kStageSchema) {
     throw CheckpointError(where + ": unknown schema \"" +
-                          detail::get_string(v, "schema", where) + "\"");
+                          json::get_string(v, "schema", where) + "\"");
   }
-  if (detail::get_string(v, "stage", where) != axes.name) {
+  if (json::get_string(v, "stage", where) != axes.name) {
     throw CheckpointError(where + ": holds stage '" +
-                          detail::get_string(v, "stage", where) +
+                          json::get_string(v, "stage", where) +
                           "', expected '" + axes.name + "'");
   }
-  if (detail::get_string(v, "identity", where) != identity) {
+  if (json::get_string(v, "identity", where) != identity) {
     log_line(options, axes.name + ": upstream identity changed, "
                                   "recomputing");
     return std::nullopt;
@@ -91,13 +91,15 @@ std::optional<CampaignResult> load_stage(const std::string& path,
                         std::to_string(checkpoint.cells.size()) +
                         " cells from " + path);
   return CampaignResult(checkpoint.axes, std::move(checkpoint.cells));
+} catch (const json::Error& e) {
+  throw CheckpointError(e.what());
 }
 
 /// Publishes a finished stage: temp file + atomic rename, then drops the
 /// now-redundant cell checkpoint.
 void publish_stage(const std::string& dir, const CampaignResult& result,
                    const std::string& identity) {
-  const std::string final_path = stage_path(dir, result.axes().name);
+  const std::string final_path = stage_path(dir, result.axes.name);
   const std::string tmp_path =
       final_path + ".tmp." + std::to_string(::getpid());
   {
@@ -105,8 +107,8 @@ void publish_stage(const std::string& dir, const CampaignResult& result,
     if (!os) {
       throw CheckpointError("cannot write stage file '" + tmp_path + "'");
     }
-    write_stage_header(os, result.axes().name, identity);
-    write_checkpoint_header(os, result.axes());
+    write_stage_header(os, result.axes.name, identity);
+    write_checkpoint_header(os, result.axes);
     for (const CellResult& cell : result.cells()) {
       append_checkpoint_cell(os, cell);
     }
@@ -117,7 +119,7 @@ void publish_stage(const std::string& dir, const CampaignResult& result,
   }
   std::filesystem::rename(tmp_path, final_path);
   std::error_code ec;
-  std::filesystem::remove(ckpt_path(dir, result.axes().name), ec);
+  std::filesystem::remove(ckpt_path(dir, result.axes.name), ec);
 }
 
 }  // namespace

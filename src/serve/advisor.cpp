@@ -11,12 +11,13 @@
 #include <stdexcept>
 #include <utility>
 
-#include "exp/json_parse.hpp"
-#include "exp/json_util.hpp"
+#include "core/json.hpp"
 
 namespace gridsub::serve {
 
 namespace {
+
+namespace json = core::json;
 
 /// FNV-1a over the eight bytes of one word.
 void fnv_mix(std::uint64_t& h, std::uint64_t v) {
@@ -55,38 +56,36 @@ const AdvisorEntry* AdvisorSnapshot::find(const AdvisorKey& key) const {
 }
 
 void AdvisorSnapshot::write_json(std::ostream& os) const {
-  using exp::detail::json_escape;
-  using exp::detail::json_number;
   os << "{\n  \"advisor\": {\n    \"fallback_t_inf\": ";
-  json_number(os, fallback.t_inf);
+  json::number(os, fallback.t_inf);
   os << ",\n    \"observations\": " << observations;
   os << ",\n    \"keys\": [";
   bool first = true;
   for (const AdvisorEntry& e : entries) {
     os << (first ? "\n" : ",\n") << "      {\"vo\": ";
     first = false;
-    json_escape(os, e.key.vo);
+    json::escape(os, e.key.vo);
     os << ", \"site\": ";
-    json_escape(os, e.key.site);
+    json::escape(os, e.key.site);
     os << ", \"user_class\": ";
-    json_escape(os, e.key.user_class);
+    json::escape(os, e.key.user_class);
     os << ", \"ready\": " << (e.advice.ready ? "true" : "false")
        << ", \"drifted\": " << (e.advice.drifted ? "true" : "false")
        << ", \"observations\": " << e.observations
        << ", \"refits\": " << e.refits << ", \"drift_statistic\": ";
-    json_number(os, e.drift_statistic);
+    json::number(os, e.drift_statistic);
     os << ", \"outlier_ratio\": ";
-    json_number(os, e.outlier_ratio);
+    json::number(os, e.outlier_ratio);
     os << ",\n       \"kind\": ";
-    json_escape(os, core::to_string(e.advice.kind));
+    json::escape(os, core::to_string(e.advice.kind));
     os << ", \"t0\": ";
-    json_number(os, e.advice.t0);
+    json::number(os, e.advice.t0);
     os << ", \"t_inf\": ";
-    json_number(os, e.advice.t_inf);
+    json::number(os, e.advice.t_inf);
     os << ", \"b\": " << e.advice.b << ", \"expectation\": ";
-    json_number(os, e.advice.expectation);
+    json::number(os, e.advice.expectation);
     os << ", \"delta_cost\": ";
-    json_number(os, e.advice.delta_cost);
+    json::number(os, e.advice.delta_cost);
     os << "}";
   }
   os << (first ? "]" : "\n    ]") << "\n  }\n}\n";
@@ -206,7 +205,9 @@ std::uint64_t AdvisorService::rebuild_and_swap() {
     if (state.planner.ready()) {
       const core::CostEvaluation& c = state.planner.current().choice;
       a.ready = true;
-      a.drifted = state.planner.drifted();
+      // OnlinePlanner::drifted()'s test, on the statistic computed above
+      // (the KS statistic is the costly part of a swap).
+      a.drifted = e.drift_statistic > config_.planner.drift_threshold;
       a.kind = c.kind;
       a.t0 = c.t0;
       a.t_inf = c.t_inf;
@@ -460,9 +461,9 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
   }
   const std::string text = buf.str();
 
-  // Parse and extract with the strict JSON-subset machinery; its errors
-  // (CheckpointError) are re-thrown as RecoveryError so callers can tell
-  // a bad recovery dump from a bad campaign checkpoint.
+  // Parse and extract with the strict JSON-subset parser; its errors are
+  // re-thrown as RecoveryError so callers can tell a bad recovery dump
+  // from a bad campaign checkpoint.
   struct ParsedEntry {
     AdvisorKey key;
     Advice advice;  // payload fields only
@@ -475,24 +476,22 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
   std::uint64_t total_observations = 0;
   std::vector<ParsedEntry> parsed;
   try {
-    using exp::detail::get_bool;
-    using exp::detail::get_key;
-    using exp::detail::get_number;
-    using exp::detail::get_string;
-    using exp::detail::get_uint;
-    using exp::detail::JsonParser;
-    using exp::detail::JsonValue;
-    const JsonValue root = JsonParser(text, origin).parse();
-    const JsonValue& advisor = get_key(root, "advisor", origin);
+    using json::get_bool;
+    using json::get_key;
+    using json::get_number;
+    using json::get_string;
+    using json::get_uint;
+    const json::Value root = json::parse(text, origin);
+    const json::Value& advisor = get_key(root, "advisor", origin);
     fallback_t_inf = get_number(advisor, "fallback_t_inf", origin);
     total_observations = get_uint(advisor, "observations", origin);
-    const JsonValue& keys = get_key(advisor, "keys", origin);
-    if (keys.kind != JsonValue::Kind::kArray) {
+    const json::Value& keys = get_key(advisor, "keys", origin);
+    if (keys.kind != json::Value::Kind::kArray) {
       throw RecoveryError(origin + ": key \"keys\" is not an array");
     }
     parsed.reserve(keys.array.size());
-    for (const JsonValue& k : keys.array) {
-      if (k.kind != JsonValue::Kind::kObject) {
+    for (const json::Value& k : keys.array) {
+      if (k.kind != json::Value::Kind::kObject) {
         throw RecoveryError(origin + ": non-object entry in \"keys\"");
       }
       ParsedEntry e;
@@ -519,7 +518,7 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
       }
       parsed.push_back(std::move(e));
     }
-  } catch (const exp::CheckpointError& err) {
+  } catch (const json::Error& err) {
     throw RecoveryError(err.what());
   }
   if (fallback_t_inf != config_.fallback_t_inf) {

@@ -75,14 +75,6 @@ class ComputingElement {
   /// check) and handles of silently-faulted submissions.
   bool cancel(JobHandle handle);
 
-  /// Site availability (gateway up/down). While down, every submission is
-  /// silently lost — the client's timeout is the only detector, exactly
-  /// like the paper's "local configuration issues". Queued and running
-  /// jobs are unaffected (the batch system behind the gateway keeps
-  /// working).
-  void set_available(bool available) { available_ = available; }
-  [[nodiscard]] bool available() const { return available_; }
-
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int slots() const { return slots_; }
   [[nodiscard]] int running() const { return running_; }
@@ -162,7 +154,6 @@ class ComputingElement {
   /// Distinct never-resolving handles for silently dropped submissions.
   std::uint32_t fault_serial_ = 1;
   int running_ = 0;
-  bool available_ = true;
 };
 
 }  // namespace gridsub::sim

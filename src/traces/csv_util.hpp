@@ -10,6 +10,8 @@
 #include <string>
 #include <string_view>
 
+#include "core/json.hpp"
+
 namespace gridsub::traces::detail {
 
 /// Hard cap on one input line. Real SWF/CSV lines are well under 1 KiB;
@@ -55,11 +57,10 @@ inline constexpr std::size_t kMaxLineBytes = 1u << 20;
 /// the same double. The CSV writers must use this instead of `os << v` —
 /// default ostream formatting truncates to 6 significant digits and
 /// follows the stream's imbued locale, both of which break the
-/// byte-determinism contract on written traces.
+/// byte-determinism contract on written traces. Unlike JSON, CSV keeps
+/// non-finite values as to_chars spells them ("inf", "nan").
 inline void csv_number(std::ostream& os, double v) {
-  char buf[32];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  os.write(buf, static_cast<std::streamsize>(r.ptr - buf));
+  core::json::shortest_double(os, v);
 }
 
 /// Trims spaces, tabs, and CRs from both ends (CSV files written on

@@ -86,7 +86,7 @@ TEST(CampaignStreaming, FoldSinkSummaryMatchesBufferedAggregates) {
   CampaignRunner(options).run_with_sink(axes, synthetic_cell, sink);
   const CampaignSummary summary = sink.take();
 
-  ASSERT_EQ(summary.rows.size(), result.aggregates().size());
+  ASSERT_EQ(summary.rows.size(), result.rows.size());
   for (std::size_t sc = 0; sc < axes.scenario_labels.size(); ++sc) {
     for (std::size_t st = 0; st < axes.strategy_labels.size(); ++st) {
       EXPECT_DOUBLE_EQ(summary.mean(sc, st, "value"),

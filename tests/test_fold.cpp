@@ -177,7 +177,7 @@ TEST(CampaignSummary, AccessorsMatchCampaignResult) {
   CampaignRunner().run_with_sink(axes, evaluate, sink);
   const CampaignSummary summary = sink.take();
 
-  ASSERT_EQ(summary.rows.size(), result.aggregates().size());
+  ASSERT_EQ(summary.rows.size(), result.rows.size());
   for (std::size_t sc = 0; sc < 2; ++sc) {
     for (std::size_t st = 0; st < 2; ++st) {
       EXPECT_DOUBLE_EQ(summary.mean(sc, st, "v"), result.mean(sc, st, "v"));

@@ -108,18 +108,17 @@ bool advance(ShardReader& reader, const exp::CampaignAxes& axes,
     const std::string where =
         reader.path + ":" + std::to_string(reader.lineno);
     exp::CellResult cell;
-    try {
+    if (!unterminated) {
       cell = exp::parse_checkpoint_record(line, where, axes);
-    } catch (const exp::CheckpointError&) {
-      if (unterminated) {
-        // The expected kill artifact: a clipped final line. Drop it —
-        // that cell must exist, whole, in some shard for the merge to
-        // complete.
-        reader.dropped_partial_tail = true;
-        reader.eof = true;
-        return false;
-      }
-      throw;  // a terminated line that fails to parse is corruption
+    } else if (std::optional<exp::CellResult> tail =
+                   exp::parse_checkpoint_tail(line, where, axes)) {
+      cell = std::move(*tail);
+    } else {
+      // The kill artifact: a clipped final line. Drop it — that cell
+      // must exist, whole, in some shard for the merge to complete.
+      reader.dropped_partial_tail = true;
+      reader.eof = true;
+      return false;
     }
     ++reader.records;
     const std::size_t flat = cell.context.flat;
@@ -297,7 +296,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "[merge] wrote %s (%zu cells, %zu aggregate "
                      "rows)\n",
                      out.c_str(), result.cells().size(),
-                     result.aggregates().size());
+                     result.rows.size());
       }
       if (cli.flag("--summary")) {
         std::ostringstream table;
