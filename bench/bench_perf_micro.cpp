@@ -97,14 +97,35 @@ void BM_DelayedOptimize(benchmark::State& state) {
 }
 BENCHMARK(BM_DelayedOptimize);
 
-void BM_CostOptimum(benchmark::State& state) {
-  const auto& m = model_2006();
+void cost_optimum(benchmark::State& state,
+                  const model::DiscretizedLatencyModel& m,
+                  core::CostDefinition definition) {
   for (auto _ : state) {
     core::CostModel cost(m);
-    benchmark::DoNotOptimize(cost.optimize_delayed_cost());
+    benchmark::DoNotOptimize(
+        cost.optimize_delayed_cost(-1.0, -1.0, definition));
   }
 }
+
+void BM_CostOptimum(benchmark::State& state) {
+  cost_optimum(state, model_2006(), core::CostDefinition::kPaperPoint);
+}
 BENCHMARK(BM_CostOptimum)->Unit(benchmark::kMillisecond);
+
+// The fleet accounting reads E[W] off the same overlap integral as E_J.
+void BM_CostOptimumFleet(benchmark::State& state) {
+  cost_optimum(state, model_2006(), core::CostDefinition::kFleet);
+}
+BENCHMARK(BM_CostOptimumFleet)->Unit(benchmark::kMillisecond);
+
+// At a 20 s step most integer lattice lengths are not whole steps, so the
+// scan takes the per-point sweep (the advisor's model step).
+void BM_CostOptimumStep20(benchmark::State& state) {
+  static const auto m =
+      model::DiscretizedLatencyModel::from_trace(trace_2006(), 20.0);
+  cost_optimum(state, m, core::CostDefinition::kPaperPoint);
+}
+BENCHMARK(BM_CostOptimumStep20)->Unit(benchmark::kMillisecond);
 
 void BM_McDelayed(benchmark::State& state) {
   const auto& m = model_2006();
@@ -116,8 +137,10 @@ void BM_McDelayed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
+// The engine runs on a thread pool: items/s must divide by wall time, not
+// by the main thread's CPU time.
 BENCHMARK(BM_McDelayed)->Arg(10000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // DES core microbenches. The event callbacks capture a payload sized like
 // the real hot events (ComputingElement's completion lambda: object pointer

@@ -25,11 +25,17 @@ double CostModel::delta_cost(double n_parallel, double expectation) const {
 }
 
 CostEvaluation CostModel::evaluate_delayed(double t0, double t_inf) const {
+  return score_delayed(t0, t_inf, delayed_.cost_terms(t0, t_inf));
+}
+
+CostEvaluation CostModel::score_delayed(
+    double t0, double t_inf,
+    const DelayedResubmission::CostTerms& terms) const {
   CostEvaluation e;
   e.kind = StrategyKind::kDelayedResubmission;
   e.t0 = t0;
   e.t_inf = t_inf;
-  e.expectation = delayed_.expectation(t0, t_inf);
+  e.expectation = terms.expectation;
   if (!std::isfinite(e.expectation)) {
     e.n_parallel = e.delta_cost = kInf;
     e.n_parallel_fleet = e.delta_cost_fleet = kInf;
@@ -38,7 +44,7 @@ CostEvaluation CostModel::evaluate_delayed(double t0, double t_inf) const {
   e.n_parallel =
       DelayedResubmission::parallel_jobs_at(e.expectation, t0, t_inf);
   e.delta_cost = delta_cost(e.n_parallel, e.expectation);
-  e.n_parallel_fleet = delayed_.fleet_parallel_jobs(t0, t_inf);
+  e.n_parallel_fleet = terms.fleet_parallel_jobs();
   e.delta_cost_fleet = delta_cost(e.n_parallel_fleet, e.expectation);
   return e;
 }
@@ -82,15 +88,15 @@ CostEvaluation CostModel::optimize_delayed_cost(
   if (!(hi > lo)) {
     throw std::invalid_argument("optimize_delayed_cost: bad bounds");
   }
-  const auto score = [this, definition](double t0, double t_inf) {
-    if (!delayed_.feasible(t0, t_inf)) return kInf;
-    const double ej = delayed_.expectation(t0, t_inf);
-    if (!std::isfinite(ej)) return kInf;
-    const double n_par =
-        definition == CostDefinition::kFleet
-            ? delayed_.fleet_parallel_jobs(t0, t_inf)
-            : DelayedResubmission::parallel_jobs_at(ej, t0, t_inf);
-    return delta_cost(n_par, ej);
+  // Both scans walk t∞ along t0 rows, so one RowSweep serves every point
+  // of a row from a single trapezoid sweep (bit-identical to per-point
+  // evaluation; see DelayedResubmission::RowSweep).
+  DelayedResubmission::RowSweep row(delayed_);
+  const auto score = [&](double t0, double t_inf) {
+    const CostEvaluation e =
+        score_delayed(t0, t_inf, row.cost_terms(t0, t_inf));
+    return definition == CostDefinition::kFleet ? e.delta_cost_fleet
+                                                : e.delta_cost;
   };
   // Coarse integer scan (8 s lattice).
   constexpr double kCoarse = 8.0;
@@ -134,12 +140,14 @@ StabilityReport CostModel::stability(double t0, double t_inf,
   const CostEvaluation base = evaluate_delayed(t0, t_inf);
   rep.base_delta_cost = base.delta_cost;
   rep.max_delta_cost = base.delta_cost;
+  // One row per perturbed t0 (the inner loop walks t∞).
+  DelayedResubmission::RowSweep row(delayed_);
   for (int d0 = -radius; d0 <= radius; ++d0) {
     for (int di = -radius; di <= radius; ++di) {
       const double p0 = t0 + d0;
       const double pi = t_inf + di;
       if (!delayed_.feasible(p0, pi)) continue;
-      const CostEvaluation e = evaluate_delayed(p0, pi);
+      const CostEvaluation e = score_delayed(p0, pi, row.cost_terms(p0, pi));
       if (std::isfinite(e.delta_cost)) {
         rep.max_delta_cost = std::max(rep.max_delta_cost, e.delta_cost);
       }

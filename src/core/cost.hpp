@@ -96,6 +96,11 @@ class CostModel {
   }
 
  private:
+  /// evaluate_delayed() on precomputed E_J and E[W].
+  [[nodiscard]] CostEvaluation score_delayed(
+      double t0, double t_inf,
+      const DelayedResubmission::CostTerms& terms) const;
+
   const model::DiscretizedLatencyModel& model_;
   DelayedResubmission delayed_;
   TimeoutOptimum baseline_;

@@ -58,41 +58,47 @@ double DelayedResubmission::integral_us(double t) const {
   return interp_prefix(prefix_us_, model_.step(), t);
 }
 
+// Hot path of every (t0, t_inf) tuning objective. Survival is an indexed
+// lerp over the tabulated F̃ grid captured at construction instead of a
+// virtual survival_at() call. The arithmetic (t/step, same lerp form, then
+// 1 - F̃) is kept identical to DiscretizedLatencyModel::ftilde, so results
+// are bit-for-bit what the virtual path produced.
+double DelayedResubmission::grid_survival(double t) const {
+  if (t <= 0.0) return 1.0;
+  const double s = t / model_.step();
+  const auto last_index = fgrid_.size() - 1;
+  if (s >= static_cast<double>(last_index)) return 1.0 - fgrid_[last_index];
+  const auto i = static_cast<std::size_t>(s);
+  const double frac = s - static_cast<double>(i);
+  return 1.0 - (fgrid_[i] + frac * (fgrid_[i + 1] - fgrid_[i]));
+}
+
+namespace {
+/// Trapezoid panel count of a product-integral sweep over [0, length].
+std::size_t sweep_panels(double length, double step) {
+  return std::max<std::size_t>(
+      2, static_cast<std::size_t>(std::ceil(length / step)));
+}
+}  // namespace
+
 void DelayedResubmission::product_integrals(double t0, double length,
                                             double& plain,
                                             double& weighted) const {
   plain = 0.0;
   weighted = 0.0;
   if (!(length > 0.0)) return;
-  const double step = model_.step();
-  const auto n = std::max<std::size_t>(
-      2, static_cast<std::size_t>(std::ceil(length / step)));
+  const auto n = sweep_panels(length, model_.step());
   const double h = length / static_cast<double>(n);
-  // Hot path of every (t0, t_inf) tuning objective: a Nelder-Mead fit
-  // calls this hundreds of times, each a sweep of ~length/step samples.
-  // Evaluate survival by an indexed lerp over the tabulated F̃ grid
-  // captured at construction instead of two virtual survival_at() calls
-  // per sample. The arithmetic (t/step, same lerp form, then 1 - F̃) is
-  // kept identical to DiscretizedLatencyModel::ftilde, so results are
-  // bit-for-bit what the virtual path produced; u increases monotonically,
-  // making the grid accesses a cache-friendly forward scan.
-  const double* fg = fgrid_.data();
-  const auto last_index = fgrid_.size() - 1;
-  const double last = static_cast<double>(last_index);
-  const auto surv = [&](double t) {
-    if (t <= 0.0) return 1.0;
-    const double s = t / step;
-    if (s >= last) return 1.0 - fg[last_index];
-    const auto i = static_cast<std::size_t>(s);
-    const double frac = s - static_cast<double>(i);
-    return 1.0 - (fg[i] + frac * (fg[i + 1] - fg[i]));
-  };
+  // A Nelder-Mead fit calls this hundreds of times, each a sweep of
+  // ~length/step samples; u increases monotonically, making the grid
+  // accesses a cache-friendly forward scan. RowSweep::exact_overlap
+  // repeats the plain half of this loop at h = step: keep the two alike.
   numerics::KahanAccumulator acc_plain, acc_weighted;
-  double prev_g = surv(t0) * surv(0.0);
+  double prev_g = grid_survival(t0) * grid_survival(0.0);
   double prev_u = 0.0;
   for (std::size_t i = 1; i <= n; ++i) {
     const double u = static_cast<double>(i) * h;
-    const double g = surv(u + t0) * surv(u);
+    const double g = grid_survival(u + t0) * grid_survival(u);
     acc_plain.add(0.5 * h * (prev_g + g));
     acc_weighted.add(0.5 * h * (prev_u * prev_g + u * g));
     prev_g = g;
@@ -102,17 +108,65 @@ void DelayedResubmission::product_integrals(double t0, double length,
   weighted = acc_weighted.value();
 }
 
-double DelayedResubmission::expectation(double t0, double t_inf) const {
-  if (!feasible(t0, t_inf)) return kInf;
+bool DelayedResubmission::RowSweep::exact_overlap(double t0, double length,
+                                                  double& plain) {
+  const double step = d_.model_.step();
+  const auto n = sweep_panels(length, step);
+  if (length / static_cast<double>(n) != step) return false;
+  if (t0 != t0_) {
+    t0_ = t0;
+    prefix_.assign(1, 0.0);
+    acc_.reset();
+    prev_g_ = d_.grid_survival(t0) * d_.grid_survival(0.0);
+  }
+  while (prefix_.size() <= n) {
+    const double u = static_cast<double>(prefix_.size()) * step;
+    const double g = d_.grid_survival(u + t0) * d_.grid_survival(u);
+    acc_.add(0.5 * step * (prev_g_ + g));
+    prev_g_ = g;
+    prefix_.push_back(acc_.value());
+  }
+  plain = prefix_[n];
+  return true;
+}
+
+DelayedResubmission::CostTerms DelayedResubmission::RowSweep::cost_terms(
+    double t0, double t_inf) {
+  return d_.terms(t0, t_inf, this);
+}
+
+double DelayedResubmission::CostTerms::fleet_parallel_jobs() const {
+  if (!std::isfinite(expectation) || !(expectation > 0.0)) return kInf;
+  return job_seconds / expectation;
+}
+
+DelayedResubmission::CostTerms DelayedResubmission::terms(
+    double t0, double t_inf, RowSweep* row) const {
+  CostTerms c;
+  if (!feasible(t0, t_inf)) return c;
   const double q = model_.survival_at(t_inf);
   const double p = 1.0 - q;
-  if (!(p > 0.0)) return kInf;
+  if (!(p > 0.0)) return c;
   const double length = t_inf - t0;
-  double p0, p1;
-  product_integrals(t0, length, p0, p1);
-  const double h_total =
-      p0 + q * (integral_s(t0) - integral_s(length));
-  return integral_s(t0) + h_total / p;
+  double plain = 0.0;
+  if (row == nullptr || !row->exact_overlap(t0, length, plain)) {
+    double weighted;
+    product_integrals(t0, length, plain, weighted);
+  }
+  const double h_total = plain + q * (integral_s(t0) - integral_s(length));
+  c.expectation = integral_s(t0) + h_total / p;
+  // E[W] = E_J + the expected duplicated occupancy (header comment).
+  if (std::isfinite(c.expectation)) c.job_seconds = c.expectation + plain / p;
+  return c;
+}
+
+double DelayedResubmission::expectation(double t0, double t_inf) const {
+  return terms(t0, t_inf, nullptr).expectation;
+}
+
+DelayedResubmission::CostTerms DelayedResubmission::cost_terms(
+    double t0, double t_inf) const {
+  return terms(t0, t_inf, nullptr);
 }
 
 double DelayedResubmission::second_moment(double t0, double t_inf) const {
@@ -236,19 +290,12 @@ double DelayedResubmission::expected_parallel_jobs(double t0,
 
 double DelayedResubmission::expected_job_seconds(double t0,
                                                  double t_inf) const {
-  const double ej = expectation(t0, t_inf);
-  if (!std::isfinite(ej)) return kInf;
-  const double q = model_.survival_at(t_inf);
-  double overlap, unused;
-  product_integrals(t0, t_inf - t0, overlap, unused);
-  return ej + overlap / (1.0 - q);
+  return cost_terms(t0, t_inf).job_seconds;
 }
 
 double DelayedResubmission::fleet_parallel_jobs(double t0,
                                                 double t_inf) const {
-  const double ej = expectation(t0, t_inf);
-  if (!std::isfinite(ej) || !(ej > 0.0)) return kInf;
-  return expected_job_seconds(t0, t_inf) / ej;
+  return cost_terms(t0, t_inf).fleet_parallel_jobs();
 }
 
 double DelayedResubmission::expected_submissions(double t0,

@@ -29,16 +29,57 @@
 //   paper evaluates N∥ at l = E_J (parallel_jobs()); the distribution-
 //   averaged E[N∥(J)] is provided as expected_parallel_jobs().
 
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "core/strategy.hpp"
 #include "model/discretized.hpp"
+#include "numerics/kahan.hpp"
 
 namespace gridsub::core {
 
 class DelayedResubmission {
  public:
+  /// E_J and the expected job-seconds E[W] at one (t0, t∞), both from one
+  /// sweep of the overlap integral ∫₀^{t∞-t0} s(u+t0)·s(u) du. Both are
+  /// +inf if the point is infeasible or q == 1.
+  struct CostTerms {
+    double expectation = std::numeric_limits<double>::infinity();
+    double job_seconds = std::numeric_limits<double>::infinity();
+    /// E[W]/E_J, as fleet_parallel_jobs().
+    [[nodiscard]] double fleet_parallel_jobs() const;
+  };
+
+  /// cost_terms() for many t∞ at one t0, bit-identical to the per-point
+  /// call but sharing one trapezoid sweep per t0 row. The per-point sweep
+  /// samples u = i·h with h = length/n, n = max(2, ⌈length/step⌉); where
+  /// h == step that is a prefix of the row's sweep at h = step, with the
+  /// same Kahan adds in the same order, so the row's running value after
+  /// n adds is the point's integral bit for bit. Any other point (n
+  /// forced up to 2, or a length that is not a whole number of steps)
+  /// falls back to its own sweep. The row restarts whenever t0 changes
+  /// and is extended lazily, so queries in any order are exact. Not
+  /// thread-safe: one per caller, on the caller's stack.
+  class RowSweep {
+   public:
+    /// Keeps a reference to `d` (must outlive this object).
+    explicit RowSweep(const DelayedResubmission& d) : d_(d) {}
+    [[nodiscard]] CostTerms cost_terms(double t0, double t_inf);
+
+   private:
+    friend class DelayedResubmission;
+    /// The overlap integral over [0, length] at t0, if it lies on the
+    /// row's h = step lattice; false sends the caller to its own sweep.
+    bool exact_overlap(double t0, double length, double& plain);
+
+    const DelayedResubmission& d_;
+    double t0_ = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> prefix_;  ///< prefix_[i]: running value after i adds
+    numerics::KahanAccumulator acc_;
+    double prev_g_ = 0.0;
+  };
+
   /// Keeps a reference to `m` (must outlive this object).
   explicit DelayedResubmission(const model::DiscretizedLatencyModel& m);
 
@@ -47,6 +88,9 @@ class DelayedResubmission {
 
   /// E_J(t0, t∞) via the survival form (+inf if infeasible or q == 1).
   [[nodiscard]] double expectation(double t0, double t_inf) const;
+
+  /// E_J and E[W] at (t0, t∞) from one sweep (see CostTerms).
+  [[nodiscard]] CostTerms cost_terms(double t0, double t_inf) const;
 
   /// E[J²](t0, t∞).
   [[nodiscard]] double second_moment(double t0, double t_inf) const;
@@ -104,9 +148,16 @@ class DelayedResubmission {
   /// Interpolated prefix integrals ∫₀^t s and ∫₀^t u·s(u) du.
   [[nodiscard]] double integral_s(double t) const;
   [[nodiscard]] double integral_us(double t) const;
+  /// s(t) = 1 - F̃(t) by an indexed lerp over the tabulated grid.
+  [[nodiscard]] double grid_survival(double t) const;
   /// ∫₀^L s(u+t0)·s(u) du and ∫₀^L u·s(u+t0)·s(u) du (trapezoid).
   void product_integrals(double t0, double length, double& plain,
                          double& weighted) const;
+  /// The E_J and E[W] formulas on the overlap integral, which comes from
+  /// `row` when it holds the point exactly and from a sweep otherwise
+  /// (`row` may be null).
+  [[nodiscard]] CostTerms terms(double t0, double t_inf,
+                                RowSweep* row) const;
   [[nodiscard]] DelayedOptimum pack_optimum(double t0, double t_inf) const;
 
   const model::DiscretizedLatencyModel& model_;

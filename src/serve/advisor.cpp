@@ -189,6 +189,7 @@ std::uint64_t AdvisorService::rebuild_and_swap() {
   for (auto& [key, state] : keys_) {
     if (state.dirty) {
       state.changed_generation = next_gen;
+      state.drift_statistic = state.planner.drift_statistic();
       state.dirty = false;
     }
     AdvisorEntry e;
@@ -197,7 +198,7 @@ std::uint64_t AdvisorService::rebuild_and_swap() {
     // warm_refits is 0 unless warm-started: counters stay monotone
     // across a crash-restart.
     e.refits = state.warm_refits + state.planner.refits();
-    e.drift_statistic = state.planner.drift_statistic();
+    e.drift_statistic = state.drift_statistic;
     e.outlier_ratio = state.planner.window_outlier_ratio();
     Advice a;
     a.generation = next_gen;
@@ -205,8 +206,8 @@ std::uint64_t AdvisorService::rebuild_and_swap() {
     if (state.planner.ready()) {
       const core::CostEvaluation& c = state.planner.current().choice;
       a.ready = true;
-      // OnlinePlanner::drifted()'s test, on the statistic computed above
-      // (the KS statistic is the costly part of a swap).
+      // OnlinePlanner::drifted()'s test, on the cached statistic (the KS
+      // statistic is the costly part of a swap).
       a.drifted = e.drift_statistic > config_.planner.drift_threshold;
       a.kind = c.kind;
       a.t0 = c.t0;

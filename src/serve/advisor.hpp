@@ -313,6 +313,10 @@ class AdvisorService {
     /// entry as entry_generation).
     std::uint64_t changed_generation = 0;
     bool dirty = true;
+    /// The window's KS drift statistic as of the last rebuild that saw
+    /// the key dirty: only an ingest changes the window, so clean keys
+    /// reuse it (0 for an empty window, as OnlinePlanner reports).
+    double drift_statistic = 0.0;
     /// Recovered pre-crash state (warm_start). Served by rebuilds until
     /// the restarted planner is ready again; the diagnostics carry over
     /// so counters stay monotone across the crash.

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "serve/replay_feed.hpp"
@@ -135,6 +136,49 @@ TEST(Advisor, DriftFlagIsStampedIntoTheSnapshot) {
   feed(service, key("vo1"), 60, 400.0);
   service.refresh_now();
   EXPECT_FALSE(reader.advise(key("vo1")).drifted);
+}
+
+/// The dumped JSON object of the entry for `vo` (site/user class default).
+std::string entry_json(const AdvisorService& service, const std::string& vo) {
+  std::ostringstream os;
+  service.dump_json(os);
+  const std::string dump = os.str();
+  const auto begin = dump.find("{\"vo\": \"" + vo + "\"");
+  if (begin == std::string::npos) return {};
+  return dump.substr(begin, dump.find('}', begin) - begin + 1);
+}
+
+TEST(Advisor, CleanKeyEntryIsUnchangedBySwapsItDidNotIngest) {
+  AdvisorConfig config = fast_config();
+  config.planner.window = 120;
+  config.planner.refit_interval = 200;
+  AdvisorService service(config);
+  AdvisorService::Reader reader(service);
+  const AdvisorKey k = key("voA");
+  feed(service, k, 60, 200.0);
+  feed(service, k, 60, 2800.0);  // drifting window: a nonzero KS statistic
+  feed(service, key("voB"), 60, 400.0);
+  service.refresh_now();
+  const std::string first = entry_json(service, "voA");
+  ASSERT_FALSE(first.empty());
+  const Advice before = reader.advise(k);
+  ASSERT_TRUE(before.drifted);
+
+  // A swap driven by other keys leaves voA's entry as it was.
+  feed(service, key("voC"), 40, 600.0);
+  service.refresh_now();
+  EXPECT_EQ(entry_json(service, "voA"), first);
+  const Advice after = reader.advise(k);
+  EXPECT_EQ(after.generation, 2u);
+  EXPECT_EQ(after.entry_generation, before.entry_generation);
+  EXPECT_TRUE(after.drifted);
+
+  // An ingest for voA recomputes its statistic: the window now holds the
+  // new regime only.
+  feed(service, k, 60, 2800.0);
+  service.refresh_now();
+  EXPECT_NE(entry_json(service, "voA"), first);
+  EXPECT_FALSE(reader.advise(k).drifted);
 }
 
 TEST(Advisor, GenerationIsMonotoneAndSwapsOnlyWhenDirty) {
