@@ -338,8 +338,11 @@ DelayedOptimum DelayedResubmission::optimize(double t0_max) const {
   };
   const auto res = numerics::grid_then_nelder_mead(
       objective, lo, hi, 1.02, 2.0, 96, 40, 1e-10);
+  // Nelder-Mead may step a hair past the ratio box (up to ~1e-9); clamp
+  // so the optimum meets t∞ <= 2·t0 exactly, not only within
+  // feasible()'s roundoff slack.
   const double t0 = res.x;
-  const double t_inf = std::min(res.y * res.x, model_.horizon());
+  const double t_inf = std::min(std::min(res.y, 2.0) * t0, model_.horizon());
   return pack_optimum(t0, t_inf);
 }
 

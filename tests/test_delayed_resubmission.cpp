@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "core/single_resubmission.hpp"
 #include "test_util.hpp"
+#include "traces/datasets.hpp"
 
 namespace gridsub::core {
 namespace {
@@ -185,6 +188,24 @@ TEST(DelayedResubmission, OptimizeStaysFeasible) {
   EXPECT_TRUE(std::isfinite(opt.metrics.expectation));
   EXPECT_GE(opt.n_parallel, 1.0 - 1e-9);
   EXPECT_LE(opt.n_parallel, 2.0);
+}
+
+TEST(DelayedResubmission, OptimumNeverOvershootsTheRatioBoundary) {
+  // Reseeded Table 1 weeks whose latency optimum sits on t∞ = 2·t0: the
+  // unclamped Nelder-Mead result landed up to ~1e-9 relative past it
+  // (e.g. t0 = 80.4999999, t∞ = 161.0000000038 on 2007-37, seed 1).
+  const std::pair<const char*, std::uint64_t> weeks[] = {
+      {"2007-37", 1}, {"2007-38", 2}, {"2008-02", 5}};
+  for (const auto& [name, seed] : weeks) {
+    traces::DatasetConfig config = traces::dataset_by_name(name);
+    config.seed = seed;
+    const auto m = model::DiscretizedLatencyModel::from_trace(
+        traces::make_trace(config), 1.0);
+    const DelayedResubmission d(m);
+    const auto opt = d.optimize();
+    EXPECT_GT(opt.t_inf, opt.t0) << name;
+    EXPECT_LE(opt.t_inf, 2.0 * opt.t0) << name;
+  }
 }
 
 TEST(DelayedResubmission, RatioConstrainedOptimumIsNoBetterThanGlobal) {
