@@ -58,26 +58,30 @@ double DelayedResubmission::integral_us(double t) const {
   return interp_prefix(prefix_us_, model_.step(), t);
 }
 
-// Hot path of every (t0, t_inf) tuning objective. Survival is an indexed
-// lerp over the tabulated F̃ grid captured at construction instead of a
-// virtual survival_at() call. The arithmetic (t/step, same lerp form, then
-// 1 - F̃) is kept identical to DiscretizedLatencyModel::ftilde, so results
-// are bit-for-bit what the virtual path produced.
-double DelayedResubmission::grid_survival(double t) const {
-  if (t <= 0.0) return 1.0;
-  const double s = t / model_.step();
-  const auto last_index = fgrid_.size() - 1;
-  if (s >= static_cast<double>(last_index)) return 1.0 - fgrid_[last_index];
-  const auto i = static_cast<std::size_t>(s);
-  const double frac = s - static_cast<double>(i);
-  return 1.0 - (fgrid_[i] + frac * (fgrid_[i + 1] - fgrid_[i]));
-}
-
 namespace {
 /// Trapezoid panel count of a product-integral sweep over [0, length].
 std::size_t sweep_panels(double length, double step) {
   return std::max<std::size_t>(
       2, static_cast<std::size_t>(std::ceil(length / step)));
+}
+
+/// s(t) = 1 - F̃(t) as an indexed lerp over the tabulated F̃ grid, in
+/// place of a virtual survival_at() call per sample of the tuning
+/// objective's hot path. The arithmetic (t/step, same lerp form, then
+/// 1 - F̃) is kept identical to DiscretizedLatencyModel::ftilde, so results
+/// are bit-for-bit what the virtual path produced.
+auto grid_survival(std::span<const double> fgrid, double step) {
+  const double* fg = fgrid.data();
+  const auto last_index = fgrid.size() - 1;
+  const double last = static_cast<double>(last_index);
+  return [=](double t) {
+    if (t <= 0.0) return 1.0;
+    const double s = t / step;
+    if (s >= last) return 1.0 - fg[last_index];
+    const auto i = static_cast<std::size_t>(s);
+    const double frac = s - static_cast<double>(i);
+    return 1.0 - (fg[i] + frac * (fg[i + 1] - fg[i]));
+  };
 }
 }  // namespace
 
@@ -87,18 +91,20 @@ void DelayedResubmission::product_integrals(double t0, double length,
   plain = 0.0;
   weighted = 0.0;
   if (!(length > 0.0)) return;
-  const auto n = sweep_panels(length, model_.step());
+  const double step = model_.step();
+  const auto n = sweep_panels(length, step);
   const double h = length / static_cast<double>(n);
   // A Nelder-Mead fit calls this hundreds of times, each a sweep of
   // ~length/step samples; u increases monotonically, making the grid
   // accesses a cache-friendly forward scan. RowSweep::exact_overlap
   // repeats the plain half of this loop at h = step: keep the two alike.
+  const auto surv = grid_survival(fgrid_, step);
   numerics::KahanAccumulator acc_plain, acc_weighted;
-  double prev_g = grid_survival(t0) * grid_survival(0.0);
+  double prev_g = surv(t0) * surv(0.0);
   double prev_u = 0.0;
   for (std::size_t i = 1; i <= n; ++i) {
     const double u = static_cast<double>(i) * h;
-    const double g = grid_survival(u + t0) * grid_survival(u);
+    const double g = surv(u + t0) * surv(u);
     acc_plain.add(0.5 * h * (prev_g + g));
     acc_weighted.add(0.5 * h * (prev_u * prev_g + u * g));
     prev_g = g;
@@ -113,15 +119,16 @@ bool DelayedResubmission::RowSweep::exact_overlap(double t0, double length,
   const double step = d_.model_.step();
   const auto n = sweep_panels(length, step);
   if (length / static_cast<double>(n) != step) return false;
+  const auto surv = grid_survival(d_.fgrid_, step);
   if (t0 != t0_) {
     t0_ = t0;
     prefix_.assign(1, 0.0);
     acc_.reset();
-    prev_g_ = d_.grid_survival(t0) * d_.grid_survival(0.0);
+    prev_g_ = surv(t0) * surv(0.0);
   }
   while (prefix_.size() <= n) {
     const double u = static_cast<double>(prefix_.size()) * step;
-    const double g = d_.grid_survival(u + t0) * d_.grid_survival(u);
+    const double g = surv(u + t0) * surv(u);
     acc_.add(0.5 * step * (prev_g_ + g));
     prev_g_ = g;
     prefix_.push_back(acc_.value());

@@ -148,8 +148,6 @@ class DelayedResubmission {
   /// Interpolated prefix integrals ∫₀^t s and ∫₀^t u·s(u) du.
   [[nodiscard]] double integral_s(double t) const;
   [[nodiscard]] double integral_us(double t) const;
-  /// s(t) = 1 - F̃(t) by an indexed lerp over the tabulated grid.
-  [[nodiscard]] double grid_survival(double t) const;
   /// ∫₀^L s(u+t0)·s(u) du and ∫₀^L u·s(u+t0)·s(u) du (trapezoid).
   void product_integrals(double t0, double length, double& plain,
                          double& weighted) const;
