@@ -192,6 +192,6 @@ int main() {
   arb_table.print(std::cout);
   std::cout << "\nMonte Carlo sides with the survival form; the printed "
                "eq. 5 over-estimates E_J once F~(t_inf - t0) > 0 (see "
-               "DESIGN.md, 'A note on eq. 5').\n";
+               "docs/reproducing.md, 'A note on eq. 5').\n";
   return 0;
 }

@@ -283,7 +283,7 @@ inline void print_header(const std::string& experiment,
   std::cout << "reproduces: " << paper_ref
             << " (Lingrand/Montagnat/Glatard, HPDC'09)\n";
   std::cout << "data: synthetic EGEE-like traces calibrated to the paper's "
-               "Table 1 (see DESIGN.md)\n";
+               "Table 1 (see docs/reproducing.md)\n";
   if (!note.empty()) std::cout << "note: " << note << "\n";
   std::cout << "\n";
 }

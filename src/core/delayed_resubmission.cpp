@@ -17,17 +17,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Tolerance on the t∞ <= 2·t0 boundary (the formulas remain valid at
 // equality; allow roundoff past it).
 constexpr double kBoundaryEps = 1e-9;
-
-double interp_prefix(const std::vector<double>& prefix, double step,
-                     double t) {
-  const double s = t / step;
-  const auto last = static_cast<double>(prefix.size() - 1);
-  if (s <= 0.0) return 0.0;
-  if (s >= last) return prefix.back();
-  const auto i = static_cast<std::size_t>(s);
-  const double frac = s - static_cast<double>(i);
-  return prefix[i] + frac * (prefix[i + 1] - prefix[i]);
-}
 }  // namespace
 
 DelayedResubmission::DelayedResubmission(
@@ -40,22 +29,16 @@ DelayedResubmission::DelayedResubmission(
     s[i] = 1.0 - fgrid_[i];
     us[i] = model_.t_at(i) * s[i];
   }
-  numerics::cumulative_trapezoid(s, step, prefix_s_);
-  numerics::cumulative_trapezoid(us, step, prefix_us_);
+  prefix_s_ = numerics::UniformGridInterpolant(
+      0.0, step, numerics::cumulative_trapezoid(s, step));
+  prefix_us_ = numerics::UniformGridInterpolant(
+      0.0, step, numerics::cumulative_trapezoid(us, step));
 }
 
 bool DelayedResubmission::feasible(double t0, double t_inf) const {
   return t0 > 0.0 && t_inf > t0 &&
          t_inf <= 2.0 * t0 * (1.0 + kBoundaryEps) &&
          t_inf <= model_.horizon();
-}
-
-double DelayedResubmission::integral_s(double t) const {
-  return interp_prefix(prefix_s_, model_.step(), t);
-}
-
-double DelayedResubmission::integral_us(double t) const {
-  return interp_prefix(prefix_us_, model_.step(), t);
 }
 
 namespace {

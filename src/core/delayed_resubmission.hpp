@@ -7,7 +7,7 @@
 // pattern iterates with period t0 until some copy starts. The constraint
 // 0 < t0 < t∞ <= 2·t0 keeps at most two copies in flight.
 //
-// Implementation notes (see DESIGN.md §"A note on eq. 5"):
+// Implementation notes (see docs/reproducing.md, "A note on eq. 5"):
 //
 // * The primary evaluator uses the exact survival form. With
 //   q = 1 - F̃(t∞), s(x) = 1 - F̃(x) and s_cap(x) = s(min(x, t∞)), the
@@ -35,6 +35,7 @@
 
 #include "core/strategy.hpp"
 #include "model/discretized.hpp"
+#include "numerics/interpolation.hpp"
 #include "numerics/kahan.hpp"
 
 namespace gridsub::core {
@@ -146,8 +147,8 @@ class DelayedResubmission {
 
  private:
   /// Interpolated prefix integrals ∫₀^t s and ∫₀^t u·s(u) du.
-  [[nodiscard]] double integral_s(double t) const;
-  [[nodiscard]] double integral_us(double t) const;
+  [[nodiscard]] double integral_s(double t) const { return prefix_s_(t); }
+  [[nodiscard]] double integral_us(double t) const { return prefix_us_(t); }
   /// ∫₀^L s(u+t0)·s(u) du and ∫₀^L u·s(u+t0)·s(u) du (trapezoid).
   void product_integrals(double t0, double length, double& plain,
                          double& weighted) const;
@@ -163,8 +164,8 @@ class DelayedResubmission {
   /// the tuning-objective hot path — sweeps it by index without virtual
   /// ftilde() dispatch (bit-identical arithmetic; see the .cpp).
   std::span<const double> fgrid_;
-  std::vector<double> prefix_s_;   ///< ∫ (1 - F̃)
-  std::vector<double> prefix_us_;  ///< ∫ u (1 - F̃(u)) du
+  numerics::UniformGridInterpolant prefix_s_;   ///< ∫ (1 - F̃)
+  numerics::UniformGridInterpolant prefix_us_;  ///< ∫ u (1 - F̃(u)) du
 };
 
 }  // namespace gridsub::core

@@ -6,27 +6,12 @@
 #include <stdexcept>
 
 #include "numerics/integration.hpp"
-#include "numerics/interpolation.hpp"
 #include "numerics/optimize1d.hpp"
 
 namespace gridsub::core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double interp_prefix(const std::vector<double>& prefix, double step,
-                     double t) {
-  // prefix[i] is the integral up to i*step; linear interpolation matches
-  // the trapezoid construction only approximately between nodes, which is
-  // fine at the step sizes used (the integrand is bounded by 1).
-  const double s = t / step;
-  const auto last = static_cast<double>(prefix.size() - 1);
-  if (s <= 0.0) return 0.0;
-  if (s >= last) return prefix.back();
-  const auto i = static_cast<std::size_t>(s);
-  const double frac = s - static_cast<double>(i);
-  return prefix[i] + frac * (prefix[i + 1] - prefix[i]);
-}
 }  // namespace
 
 MultipleSubmission::MultipleSubmission(
@@ -35,30 +20,24 @@ MultipleSubmission::MultipleSubmission(
   if (b < 1) throw std::invalid_argument("MultipleSubmission: b < 1");
   const auto grid = model_.ftilde_grid();
   const double step = model_.step();
-  surv_pow_.resize(grid.size());
+  std::vector<double> surv_pow(grid.size());
   std::vector<double> u_surv_pow(grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const double s = 1.0 - grid[i];
     const double sp = (b_ == 1) ? s : std::pow(s, static_cast<double>(b_));
-    surv_pow_[i] = sp;
+    surv_pow[i] = sp;
     u_surv_pow[i] = model_.t_at(i) * sp;
   }
-  numerics::cumulative_trapezoid(surv_pow_, step, prefix_a_);
-  numerics::cumulative_trapezoid(u_surv_pow, step, prefix_b_);
+  prefix_a_ = numerics::UniformGridInterpolant(
+      0.0, step, numerics::cumulative_trapezoid(surv_pow, step));
+  prefix_b_ = numerics::UniformGridInterpolant(
+      0.0, step, numerics::cumulative_trapezoid(u_surv_pow, step));
 }
 
 double MultipleSubmission::success_probability(double t_inf) const {
   const double s = 1.0 - model_.ftilde(t_inf);
   const double q = (b_ == 1) ? s : std::pow(s, static_cast<double>(b_));
   return 1.0 - q;
-}
-
-double MultipleSubmission::integral_a(double t) const {
-  return interp_prefix(prefix_a_, model_.step(), t);
-}
-
-double MultipleSubmission::integral_b(double t) const {
-  return interp_prefix(prefix_b_, model_.step(), t);
 }
 
 double MultipleSubmission::expectation(double t_inf) const {

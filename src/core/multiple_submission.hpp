@@ -19,6 +19,7 @@
 
 #include "core/strategy.hpp"
 #include "model/discretized.hpp"
+#include "numerics/interpolation.hpp"
 
 namespace gridsub::core {
 
@@ -55,15 +56,16 @@ class MultipleSubmission {
  private:
   /// Success probability by t∞: 1 - (1-F̃(t∞))^b.
   [[nodiscard]] double success_probability(double t_inf) const;
-  /// Interpolated prefix integrals.
-  [[nodiscard]] double integral_a(double t) const;
-  [[nodiscard]] double integral_b(double t) const;
+  /// Interpolated prefix integrals A(t) and B(t). Exact at grid nodes;
+  /// between nodes the lerp only approximates the trapezoid construction,
+  /// which is fine at the step sizes used (the integrand is bounded by 1).
+  [[nodiscard]] double integral_a(double t) const { return prefix_a_(t); }
+  [[nodiscard]] double integral_b(double t) const { return prefix_b_(t); }
 
   const model::DiscretizedLatencyModel& model_;
   int b_;
-  std::vector<double> surv_pow_;    ///< (1-F̃)^b at grid nodes
-  std::vector<double> prefix_a_;    ///< ∫ (1-F̃)^b
-  std::vector<double> prefix_b_;    ///< ∫ u (1-F̃)^b
+  numerics::UniformGridInterpolant prefix_a_;  ///< ∫ (1-F̃)^b
+  numerics::UniformGridInterpolant prefix_b_;  ///< ∫ u (1-F̃)^b
 };
 
 }  // namespace gridsub::core

@@ -30,11 +30,6 @@ class EmpiricalLatencyModel final : public LatencyModel {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::unique_ptr<LatencyModel> clone() const override;
 
-  [[nodiscard]] std::size_t completed_count() const {
-    return sorted_latencies_.size();
-  }
-  [[nodiscard]] std::size_t total_count() const { return total_; }
-
  private:
   std::vector<double> sorted_latencies_;
   std::size_t total_ = 0;

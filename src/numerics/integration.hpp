@@ -26,19 +26,6 @@ namespace gridsub::numerics {
 namespace detail {
 
 template <typename F>
-double trapezoid_impl(F&& f, double a, double b, std::size_t n) {
-  if (n < 1) throw std::invalid_argument("trapezoid: n must be >= 1");
-  if (b < a) throw std::invalid_argument("trapezoid: requires b >= a");
-  if (a == b) return 0.0;
-  const double h = (b - a) / static_cast<double>(n);
-  KahanAccumulator acc(0.5 * (f(a) + f(b)));
-  for (std::size_t i = 1; i < n; ++i) {
-    acc.add(f(a + static_cast<double>(i) * h));
-  }
-  return acc.value() * h;
-}
-
-template <typename F>
 double simpson_impl(F&& f, double a, double b, std::size_t n) {
   if (n < 2) n = 2;
   if (n % 2 != 0) ++n;
@@ -88,18 +75,6 @@ double adaptive_simpson_impl(F&& f, double a, double b, double tol,
 }
 
 }  // namespace detail
-
-/// Composite trapezoid rule for a callable on [a, b] with n uniform
-/// subintervals. Requires n >= 1 and b >= a.
-template <typename F>
-  requires std::is_invocable_r_v<double, F&, double>
-double trapezoid(F&& f, double a, double b, std::size_t n) {
-  return detail::trapezoid_impl(f, a, b, n);
-}
-
-/// Trapezoid rule over tabulated samples y[i] = f(a + i*dx), i = 0..y.size()-1.
-/// Requires y.size() >= 2 and dx > 0.
-double trapezoid_tabulated(std::span<const double> y, double dx);
 
 /// Composite Simpson rule (n is rounded up to the next even value).
 template <typename F>

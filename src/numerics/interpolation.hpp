@@ -2,12 +2,13 @@
 
 // Interpolation on tabulated functions.
 //
-// DiscretizedLatencyModel caches F̃ and its prefix integrals on a uniform
+// The strategy models cache prefix integrals of F̃ on the model's uniform
 // grid; evaluating E_J at arbitrary timeouts requires linear interpolation
-// between grid nodes. A general sorted-abscissa interpolant is also provided
-// for empirical CDF inversion.
+// between grid nodes.
 
+#include <cstddef>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace gridsub::numerics {
@@ -21,24 +22,23 @@ class UniformGridInterpolant {
   /// Requires y.size() >= 2 and dx > 0.
   UniformGridInterpolant(double x0, double dx, std::vector<double> y);
 
-  [[nodiscard]] double operator()(double x) const;
-
-  [[nodiscard]] double x0() const { return x0_; }
-  [[nodiscard]] double dx() const { return dx_; }
-  [[nodiscard]] double x_max() const;
-  [[nodiscard]] std::size_t size() const { return y_.size(); }
-  [[nodiscard]] std::span<const double> samples() const { return y_; }
+  /// Defined here so the strategy models' prefix lookups inline.
+  [[nodiscard]] double operator()(double x) const {
+    if (y_.empty()) throw std::logic_error("UniformGridInterpolant: empty");
+    const double s = (x - x0_) / dx_;
+    if (s <= 0.0) return y_.front();
+    const auto last = static_cast<double>(y_.size() - 1);
+    if (s >= last) return y_.back();
+    const auto i = static_cast<std::size_t>(s);
+    const double frac = s - static_cast<double>(i);
+    return y_[i] + frac * (y_[i + 1] - y_[i]);
+  }
 
  private:
   double x0_ = 0.0;
   double dx_ = 1.0;
   std::vector<double> y_;
 };
-
-/// Piecewise-linear interpolation over sorted, strictly increasing
-/// abscissae. Clamps outside [x.front(), x.back()].
-double interp_sorted(std::span<const double> x, std::span<const double> y,
-                     double xq);
 
 /// Given a non-decreasing tabulation y over uniform grid x0 + i*dx, returns
 /// the smallest x with y(x) >= target (linear interpolation between nodes);

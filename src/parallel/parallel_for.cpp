@@ -2,30 +2,22 @@
 
 #include <algorithm>
 #include <exception>
+#include <vector>
 
 namespace gridsub::par {
 
 void parallel_for(std::int64_t begin, std::int64_t end,
                   const std::function<void(std::int64_t)>& body,
                   ThreadPool* pool) {
-  parallel_for_blocked(
-      begin, end,
-      [&body](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) body(i);
-      },
-      pool);
-}
-
-void parallel_for_blocked(
-    std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int64_t, std::int64_t)>& body,
-    ThreadPool* pool) {
   if (begin >= end) return;
+  const auto run_block = [&body](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) body(i);
+  };
   ThreadPool& p = pool ? *pool : ThreadPool::shared();
   const auto n = static_cast<std::size_t>(end - begin);
   const std::size_t n_blocks = std::min<std::size_t>(p.thread_count(), n);
   if (n_blocks <= 1) {
-    body(begin, end);
+    run_block(begin, end);
     return;
   }
   const std::size_t chunk = (n + n_blocks - 1) / n_blocks;
@@ -36,7 +28,7 @@ void parallel_for_blocked(
     const std::int64_t hi =
         std::min<std::int64_t>(end, lo + static_cast<std::int64_t>(chunk));
     if (lo >= hi) break;
-    futures.push_back(p.submit([lo, hi, &body]() { body(lo, hi); }));
+    futures.push_back(p.submit([lo, hi, &run_block]() { run_block(lo, hi); }));
   }
   std::exception_ptr first_error;
   for (auto& f : futures) {

@@ -3,8 +3,7 @@
 // (x, y) series output for the paper's figures.
 //
 // Figures are regenerated as gnuplot-style whitespace-separated columns
-// (one block per labelled series), printed to the bench's stdout and
-// optionally written to .dat files for plotting.
+// (one block per labelled series), printed to the bench's stdout.
 
 #include <iosfwd>
 #include <string>
@@ -35,11 +34,7 @@ class Figure {
   /// blank lines (gnuplot's multi-block format).
   void print(std::ostream& os, int max_rows_per_series = -1) const;
 
-  /// Writes the same content to a file.
-  void write_dat(const std::string& path) const;
-
   [[nodiscard]] const std::vector<Series>& series() const { return series_; }
-  [[nodiscard]] const std::string& title() const { return title_; }
 
  private:
   std::string title_;

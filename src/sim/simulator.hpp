@@ -29,9 +29,8 @@ class Simulator {
   /// Schedules `delay` seconds from now (delay >= 0).
   EventId schedule_in(SimTime delay, SmallFn fn);
 
-  /// Daemon variants: the event fires normally but does not keep run()
+  /// Daemon variant: the event fires normally but does not keep run()
   /// alive (use for self-rescheduling housekeeping).
-  EventId schedule_daemon_at(SimTime time, SmallFn fn);
   EventId schedule_daemon_in(SimTime delay, SmallFn fn);
 
   /// Cancels a pending event; false if it already fired or was canceled.

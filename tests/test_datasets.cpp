@@ -32,8 +32,8 @@ TEST(Datasets, LookupByNameWorksAndThrowsOnUnknown) {
 }
 
 TEST(Datasets, RhoDerivationMatchesCensoredMeanIdentity) {
-  // rho = (mean_with - mean_less) / (timeout - mean_less); spot-check the
-  // two weeks quoted in DESIGN.md.
+  // rho = (mean_with - mean_less) / (timeout - mean_less), as documented in
+  // traces/datasets.hpp; spot-check two weeks against Table 1's columns.
   const auto& w2006 = dataset_by_name("2006-IX");
   EXPECT_NEAR(w2006.outlier_ratio, (1042.0 - 570.0) / (10000.0 - 570.0),
               1e-12);

@@ -119,8 +119,8 @@ TEST(DelayedResubmission, SecondMomentMatchesSurvivalIntegral) {
 
 TEST(DelayedResubmission, PaperEq5AgreesWhenOverlapWindowIsEmptyOfMass) {
   // When F̃(t_inf - t0) == 0 the overlap terms of eq. 5 vanish and the
-  // printed formula agrees with the survival form (see DESIGN.md; the
-  // heavy model has a 60 s latency floor).
+  // printed formula agrees with the survival form (see docs/reproducing.md,
+  // "A note on eq. 5"; the heavy model has a 60 s latency floor).
   const auto m = shared_model();
   const DelayedResubmission d(m);
   const double t0 = 600.0, t_inf = 650.0;  // overlap window = 50 s < floor

@@ -1,4 +1,4 @@
-// Mixture, Shifted and Truncated wrappers.
+// Shifted and Truncated wrappers.
 
 #include <gtest/gtest.h>
 
@@ -7,84 +7,12 @@
 
 #include "stats/exponential.hpp"
 #include "stats/lognormal.hpp"
-#include "stats/mixture.hpp"
-#include "stats/pareto.hpp"
 #include "stats/shifted.hpp"
 #include "stats/truncated.hpp"
 #include "stats/uniform.hpp"
 
 namespace gridsub::stats {
 namespace {
-
-Mixture make_mixture() {
-  std::vector<Mixture::Component> parts;
-  parts.push_back({0.7, std::make_unique<LogNormal>(5.5, 0.6)});
-  parts.push_back({0.3, std::make_unique<ParetoLomax>(2.5, 400.0)});
-  return Mixture(std::move(parts));
-}
-
-TEST(MixtureDist, WeightsAreNormalized) {
-  std::vector<Mixture::Component> parts;
-  parts.push_back({2.0, std::make_unique<Exponential>(0.01)});
-  parts.push_back({6.0, std::make_unique<Exponential>(0.02)});
-  const Mixture m(std::move(parts));
-  EXPECT_NEAR(m.weight(0), 0.25, 1e-15);
-  EXPECT_NEAR(m.weight(1), 0.75, 1e-15);
-}
-
-TEST(MixtureDist, CdfIsWeightedSum) {
-  const auto m = make_mixture();
-  const LogNormal ln(5.5, 0.6);
-  const ParetoLomax pl(2.5, 400.0);
-  for (double x : {50.0, 300.0, 1500.0}) {
-    EXPECT_NEAR(m.cdf(x), 0.7 * ln.cdf(x) + 0.3 * pl.cdf(x), 1e-12);
-  }
-}
-
-TEST(MixtureDist, MeanAndVarianceByLawOfTotalMoments) {
-  const auto m = make_mixture();
-  const LogNormal ln(5.5, 0.6);
-  const ParetoLomax pl(2.5, 400.0);
-  const double mean = 0.7 * ln.mean() + 0.3 * pl.mean();
-  EXPECT_NEAR(m.mean(), mean, 1e-9);
-  const double ex2 = 0.7 * (ln.variance() + ln.mean() * ln.mean()) +
-                     0.3 * (pl.variance() + pl.mean() * pl.mean());
-  EXPECT_NEAR(m.variance(), ex2 - mean * mean, 1e-6);
-}
-
-TEST(MixtureDist, SamplingMatchesCdf) {
-  const auto m = make_mixture();
-  Rng rng(99);
-  const int n = 200000;
-  const double x_ref = 400.0;
-  int below = 0;
-  for (int i = 0; i < n; ++i) {
-    if (m.sample(rng) <= x_ref) ++below;
-  }
-  EXPECT_NEAR(below / static_cast<double>(n), m.cdf(x_ref), 0.005);
-}
-
-TEST(MixtureDist, QuantileInvertsCdfViaBaseImplementation) {
-  const auto m = make_mixture();
-  for (double p : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(m.cdf(m.quantile(p)), p, 1e-7);
-  }
-}
-
-TEST(MixtureDist, DeepCopySemantics) {
-  auto m = std::make_unique<Mixture>(make_mixture());
-  const auto c = m->clone();
-  const double before = c->cdf(200.0);
-  m.reset();  // destroying the original must not affect the clone
-  EXPECT_DOUBLE_EQ(c->cdf(200.0), before);
-}
-
-TEST(MixtureDist, RejectsEmptyAndBadWeights) {
-  EXPECT_THROW(Mixture({}), std::invalid_argument);
-  std::vector<Mixture::Component> parts;
-  parts.push_back({0.0, std::make_unique<Exponential>(1.0)});
-  EXPECT_THROW(Mixture(std::move(parts)), std::invalid_argument);
-}
 
 TEST(ShiftedDist, TranslatesAllQuantities) {
   const Shifted s(std::make_unique<Exponential>(0.01), 100.0);

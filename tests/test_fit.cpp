@@ -48,11 +48,6 @@ TEST(FitWeibull, HeavyShapeBelowOne) {
   EXPECT_NEAR(fit.shape(), 0.6, 0.02);
 }
 
-TEST(FitExponential, RateIsInverseMean) {
-  const std::vector<double> xs{1.0, 3.0};
-  EXPECT_DOUBLE_EQ(fit_exponential_rate_mle(xs), 0.5);
-}
-
 TEST(LogLikelihood, PrefersTheGeneratingModel) {
   const LogNormal truth(5.0, 0.8);
   const auto xs = draw(truth, 20000, 4);

@@ -8,39 +8,6 @@
 namespace gridsub::numerics {
 namespace {
 
-TEST(Trapezoid, ExactForLinearFunctions) {
-  const auto f = [](double x) { return 3.0 * x + 2.0; };
-  EXPECT_NEAR(trapezoid(f, 0.0, 4.0, 7), 3.0 * 8.0 + 8.0, 1e-12);
-}
-
-TEST(Trapezoid, ConvergesForQuadratic) {
-  const auto f = [](double x) { return x * x; };
-  EXPECT_NEAR(trapezoid(f, 0.0, 1.0, 2000), 1.0 / 3.0, 1e-6);
-}
-
-TEST(Trapezoid, ZeroWidthIntervalIsZero) {
-  EXPECT_EQ(trapezoid([](double) { return 42.0; }, 2.0, 2.0, 10), 0.0);
-}
-
-TEST(Trapezoid, RejectsBadArguments) {
-  EXPECT_THROW(trapezoid([](double) { return 0.0; }, 0.0, 1.0, 0),
-               std::invalid_argument);
-  EXPECT_THROW(trapezoid([](double) { return 0.0; }, 1.0, 0.0, 4),
-               std::invalid_argument);
-}
-
-TEST(TrapezoidTabulated, MatchesCallableVersion) {
-  std::vector<double> y;
-  const double dx = 0.01;
-  for (int i = 0; i <= 100; ++i) {
-    const double x = dx * i;
-    y.push_back(std::sin(x));
-  }
-  const double expected =
-      trapezoid([](double x) { return std::sin(x); }, 0.0, 1.0, 100);
-  EXPECT_NEAR(trapezoid_tabulated(y, dx), expected, 1e-12);
-}
-
 TEST(Simpson, ExactForCubicPolynomials) {
   const auto f = [](double x) { return x * x * x - 2.0 * x * x + x; };
   // Exact integral over [0, 2]: 4 - 16/3 + 2 = 2/3.
@@ -90,22 +57,6 @@ TEST(CumulativeTrapezoid, RejectsEmptyAndBadStep) {
                std::invalid_argument);
   EXPECT_THROW(cumulative_trapezoid(ok, 0.0, out), std::invalid_argument);
 }
-
-// Property sweep: trapezoid error decreases roughly like n^-2 on smooth f.
-class TrapezoidConvergence : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(TrapezoidConvergence, ErrorShrinksWithResolution) {
-  const std::size_t n = GetParam();
-  const auto f = [](double x) { return std::exp(x); };
-  const double exact = std::exp(1.0) - 1.0;
-  const double err = std::abs(trapezoid(f, 0.0, 1.0, n) - exact);
-  const double err2 = std::abs(trapezoid(f, 0.0, 1.0, 2 * n) - exact);
-  EXPECT_LT(err2, err);
-  EXPECT_NEAR(err / err2, 4.0, 0.6);  // second-order convergence
-}
-
-INSTANTIATE_TEST_SUITE_P(Resolutions, TrapezoidConvergence,
-                         ::testing::Values(8, 16, 32, 64, 128));
 
 }  // namespace
 }  // namespace gridsub::numerics

@@ -39,21 +39,6 @@ TEST(UniformGridInterpolant, RejectsBadConstruction) {
                std::invalid_argument);
 }
 
-TEST(InterpSorted, InterpolatesAndClamps) {
-  const std::vector<double> x{0.0, 1.0, 3.0};
-  const std::vector<double> y{0.0, 2.0, 6.0};
-  EXPECT_DOUBLE_EQ(interp_sorted(x, y, 0.5), 1.0);
-  EXPECT_DOUBLE_EQ(interp_sorted(x, y, 2.0), 4.0);
-  EXPECT_DOUBLE_EQ(interp_sorted(x, y, -1.0), 0.0);
-  EXPECT_DOUBLE_EQ(interp_sorted(x, y, 9.0), 6.0);
-}
-
-TEST(InterpSorted, RejectsSizeMismatch) {
-  const std::vector<double> x{0.0, 1.0};
-  const std::vector<double> y{0.0};
-  EXPECT_THROW(interp_sorted(x, y, 0.5), std::invalid_argument);
-}
-
 TEST(InverseMonotone, InvertsLinearTabulation) {
   // y(x) = x/10 on x in [0, 10].
   std::vector<double> y;

@@ -130,7 +130,8 @@ TEST_P(DelayedAgreement, ExpectationSigmaSubmissionsAndParallelism) {
 }
 
 TEST_P(DelayedAgreement, PaperEq5SidesWithSurvivalFormOnlyWhenExact) {
-  // Monte Carlo arbitration of the eq. 5 discrepancy (DESIGN.md §5).
+  // Monte Carlo arbitration of the eq. 5 discrepancy (docs/reproducing.md,
+  // "A note on eq. 5").
   const auto [t0, t_inf] = GetParam();
   const auto& m = shared_model();
   const core::DelayedResubmission d(m);
